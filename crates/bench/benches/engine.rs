@@ -67,7 +67,7 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use bench_suite::{extract_json_number, peak_rss_bytes, section_field};
+use bench_suite::peak_rss_bytes;
 use experiments::{Dataset, Engine, Scale};
 use simnet::time::SimDuration;
 use tapo::json::Json;
@@ -150,9 +150,9 @@ struct LiveRun {
 }
 
 /// Stream the capture at `path` through `tapo::live::run` under `cfg` and
-/// print the phase result as one JSON line (the parent parses it back with
-/// [`extract_json_number`]). Runs inside a child process so
-/// `peak_rss_bytes` sees *only* this pipeline's memory.
+/// print the phase result as one JSON line (the parent reads it back with
+/// [`result_field`]). Runs inside a child process so `peak_rss_bytes` sees
+/// *only* this pipeline's memory.
 fn live_phase(path: &Path, cfg: &LiveConfig, cap: usize) -> std::io::Result<()> {
     let t = Instant::now();
     let result = live::run(BufReader::new(File::open(path)?), cfg, |_| {});
@@ -419,9 +419,24 @@ struct FleetRun {
     wall_secs: f64,
 }
 
+/// A numeric field of a child phase's JSON result line (0 when absent).
+fn result_field(text: &str) -> impl Fn(&str) -> f64 {
+    let doc = Json::parse(text).ok();
+    move |key| {
+        let value = doc.as_ref().and_then(|d| d.get(key));
+        value.and_then(Json::as_f64).unwrap_or(0.0)
+    }
+}
+
+/// `section.key` of the committed `BENCH_engine.json` as a number; `None`
+/// when the file, the section or the field is missing.
+fn section_field(committed: &Option<Json>, section: &str, key: &str) -> Option<f64> {
+    committed.as_ref()?.get(section)?.get(key)?.as_f64()
+}
+
 /// Parse the fleet child's JSON line into a [`FleetRun`].
 fn parse_fleet(text: &str) -> FleetRun {
-    let field = |key: &str| extract_json_number(text, key).unwrap_or(0.0);
+    let field = result_field(text);
     FleetRun {
         daemons: field("daemons") as u64,
         records: field("records") as u64,
@@ -435,7 +450,7 @@ fn parse_fleet(text: &str) -> FleetRun {
 
 /// Parse one live child's JSON line into a [`LiveRun`].
 fn parse_live(text: &str, cap: usize) -> LiveRun {
-    let field = |key: &str| extract_json_number(text, key).unwrap_or(0.0);
+    let field = result_field(text);
     LiveRun {
         flows: field("flows") as u64,
         packets: field("packets") as u64,
@@ -475,7 +490,9 @@ fn main() {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let out = out_path();
-    let committed = std::fs::read_to_string(&out).unwrap_or_default();
+    let committed = std::fs::read_to_string(&out)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok());
 
     // On a 1-core box every multi-thread (and multi-shard) point is pure
     // oversubscription noise that reads as a regression, so the curves
@@ -532,7 +549,7 @@ fn main() {
     let fleet_prefix =
         std::env::temp_dir().join(format!("tapo_fleet_bench_{}", std::process::id()));
     let fleet_gen = spawn_fleet("fleet_gen", &fleet_prefix);
-    let fleet_expected = extract_json_number(&fleet_gen, "records").unwrap_or(0.0) as u64;
+    let fleet_expected = result_field(&fleet_gen)("records") as u64;
     let fleet = parse_fleet(&spawn_fleet("fleet", &fleet_prefix));
     for d in 0..fleet_daemons() {
         let _ = std::fs::remove_file(fleet_stream_path(&fleet_prefix, d));

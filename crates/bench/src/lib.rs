@@ -126,37 +126,6 @@ impl Default for Harness {
     }
 }
 
-/// Extract the first number following `"key":` in a JSON text. The
-/// workspace's [`tapo::json::Json`] only *writes* JSON; the engine bench's
-/// regression gate needs to read two numbers back out of the committed
-/// `BENCH_engine.json`, and a field scan is all that takes. Returns `None`
-/// if the key is absent or not followed by a number.
-pub fn extract_json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract `key` from inside the named top-level `section` object of a
-/// JSON text (e.g. `current.flows_per_sec_1t` in `BENCH_engine.json`).
-/// A bare [`extract_json_number`] scan finds the *first* occurrence of the
-/// key anywhere in the file — in the committed layout that is the
-/// `baseline_pre_pr` section, not the current run — so every gate read
-/// must be section-scoped. Only flat (non-nested) sections are supported,
-/// which is all the bench schema uses.
-pub fn section_field(text: &str, section: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{section}\"");
-    let at = text.find(&needle)?;
-    let body = &text[at..];
-    let open = body.find('{')?;
-    let end = body[open..].find('}').map(|e| open + e)?;
-    extract_json_number(&body[open..end], key)
-}
-
 /// Peak resident-set size of this process in bytes (the `VmHWM` high-water
 /// mark from `/proc/self/status`). Returns `None` off Linux — the bench
 /// reports it as a memory-footprint proxy, not a portable measurement.
@@ -217,40 +186,6 @@ mod tests {
             budget: Duration::from_millis(5),
         };
         assert!(h.bench("other", || 1).is_none());
-    }
-
-    #[test]
-    fn extract_json_number_finds_nested_fields() {
-        let text = r#"{ "a": { "flows_per_sec_1t": 123.5 }, "b": -2e3 }"#;
-        assert_eq!(extract_json_number(text, "flows_per_sec_1t"), Some(123.5));
-        assert_eq!(extract_json_number(text, "b"), Some(-2000.0));
-        assert_eq!(extract_json_number(text, "missing"), None);
-        assert_eq!(extract_json_number(r#"{"a": "str"}"#, "a"), None);
-    }
-
-    #[test]
-    fn section_field_scopes_to_the_named_section() {
-        let text = r#"{
-            "baseline_pre_pr": { "flows_per_sec_1t": 910.5, "peak_rss_bytes": 111 },
-            "current": { "flows_per_sec_1t": 1496.8, "peak_rss_bytes": 222 }
-        }"#;
-        assert_eq!(
-            section_field(text, "current", "flows_per_sec_1t"),
-            Some(1496.8)
-        );
-        assert_eq!(
-            section_field(text, "current", "peak_rss_bytes"),
-            Some(222.0)
-        );
-        assert_eq!(
-            section_field(text, "baseline_pre_pr", "flows_per_sec_1t"),
-            Some(910.5)
-        );
-        assert_eq!(section_field(text, "current", "missing"), None);
-        assert_eq!(section_field(text, "absent", "flows_per_sec_1t"), None);
-        // The unscoped scan demonstrates the trap section_field exists for:
-        // it reads the baseline, not the current value.
-        assert_eq!(extract_json_number(text, "flows_per_sec_1t"), Some(910.5));
     }
 
     #[test]

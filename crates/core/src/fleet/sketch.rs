@@ -28,7 +28,7 @@
 
 use std::sync::OnceLock;
 
-use crate::json::Json;
+use crate::json::{Cursor, Json, JsonError};
 
 /// Bucket growth numerator: γ = GAMMA_NUM / GAMMA_DEN.
 const GAMMA_NUM: u128 = 101;
@@ -207,8 +207,42 @@ impl QSketch {
         ])
     }
 
-    /// Parse the canonical JSON form back. `None` on shape mismatch.
-    pub fn from_json(doc: &Json) -> Option<QSketch> {
+    /// Read the canonical JSON form back off `cur`, which stands at the
+    /// sketch value. The value is consumed whatever it is; `Ok(None)` means
+    /// well-formed JSON that is not a canonical sketch.
+    pub(crate) fn decode(cur: &mut Cursor<'_>) -> Result<Option<QSketch>, JsonError> {
+        let (mut total, mut zero, mut min, mut max) = (None, None, None, None);
+        let mut buckets = None;
+        if cur.open_object()? {
+            while let Some(key) = cur.key()? {
+                match &*key {
+                    "n" => cur.first(&mut total, Cursor::u64_or_skip)?,
+                    "zero" => cur.first(&mut zero, Cursor::u64_or_skip)?,
+                    "min" => cur.first(&mut min, Cursor::u64_or_skip)?,
+                    "max" => cur.first(&mut max, Cursor::u64_or_skip)?,
+                    "b" => cur.first(&mut buckets, decode_buckets)?,
+                    _ => cur.skip_value()?,
+                }
+            }
+        }
+        Ok((|| {
+            let (total, min) = (total??, min??);
+            Some(QSketch {
+                zero: zero??,
+                total,
+                min: if total == 0 { u64::MAX } else { min },
+                max: max??,
+                buckets: buckets??,
+            })
+        })())
+    }
+}
+
+#[cfg(test)]
+impl QSketch {
+    /// The canonical form read from a [`Json`] tree: the reference that
+    /// `report::parse`'s differential tests hold [`QSketch::decode`] to.
+    pub(crate) fn from_json(doc: &Json) -> Option<QSketch> {
         let total = doc.get("n")?.as_u64()?;
         let zero = doc.get("zero")?.as_u64()?;
         let min = doc.get("min")?.as_u64()?;
@@ -240,6 +274,55 @@ impl QSketch {
             buckets,
         })
     }
+}
+
+/// The `b` array: `[bucket, count]` pairs, strictly ascending by bucket,
+/// every bucket inside the bounds table, no zero counts. Anything else is
+/// not canonical (`None`).
+fn decode_buckets(cur: &mut Cursor<'_>) -> Result<Option<Vec<(u16, u64)>>, JsonError> {
+    if !cur.open_array()? {
+        return Ok(None);
+    }
+    let mut buckets: Vec<(u16, u64)> = Vec::with_capacity(pair_hint(cur.rest()));
+    let mut canonical = true;
+    while cur.item()? {
+        let mut cells = [None; 2];
+        let mut len = 0usize;
+        if cur.open_array()? {
+            while cur.item()? {
+                let cell = cur.u64_or_skip()?;
+                if let Some(slot) = cells.get_mut(len) {
+                    *slot = cell;
+                }
+                len += 1;
+            }
+        }
+        match cells {
+            [Some(idx), Some(n)]
+                if len == 2
+                    && idx < bounds().len() as u64
+                    && n != 0
+                    && buckets.last().is_none_or(|&(prev, _)| (prev as u64) < idx) =>
+            {
+                buckets.push((idx as u16, n));
+            }
+            _ => canonical = false,
+        }
+    }
+    Ok(canonical.then_some(buckets))
+}
+
+/// How many pairs the just-opened `b` array holds, read ahead without
+/// validating: the `[` count up to the `]]` that ends a compact array of
+/// pairs. Only a capacity hint — one exact allocation per sketch on the
+/// emitters' output, a harmless guess on anything else.
+fn pair_hint(rest: &str) -> usize {
+    if rest.starts_with(']') {
+        return 0;
+    }
+    let body = &rest.as_bytes()[..rest.find("]]").unwrap_or(0)];
+    let pairs = body.iter().filter(|&&b| b == b'[').count();
+    pairs.min(bounds().len())
 }
 
 #[cfg(test)]
@@ -277,6 +360,14 @@ mod tests {
             v.sort_unstable_by(|a, b| b.cmp(a)); // reverse-sorted arrival
         }
         v
+    }
+
+    /// Decode one whole document holding a sketch.
+    fn load(wire: &str) -> Option<QSketch> {
+        let mut cur = Cursor::new(wire);
+        let sketch = QSketch::decode(&mut cur).expect("well-formed JSON");
+        cur.finish().expect("one document");
+        sketch
     }
 
     fn sketch_of(samples: &[u64]) -> QSketch {
@@ -437,19 +528,17 @@ mod tests {
         for shape in 0..3 {
             let s = sketch_of(&stream(99, 200, shape));
             let wire = s.to_json().compact();
-            let doc = Json::parse(&wire).expect("canonical form parses");
-            let back = QSketch::from_json(&doc).expect("canonical form loads");
+            let back = load(&wire).expect("canonical form loads");
             assert_eq!(back, s);
             assert_eq!(back.to_json().compact(), wire);
         }
         // Empty round-trips through the 0 sentinel substitution too.
         let e = QSketch::new();
-        let doc = Json::parse(&e.to_json().compact()).unwrap();
-        assert_eq!(QSketch::from_json(&doc).unwrap(), e);
+        assert_eq!(load(&e.to_json().compact()).unwrap(), e);
     }
 
     #[test]
-    fn from_json_rejects_non_canonical_forms() {
+    fn decode_rejects_non_canonical_forms() {
         for bad in [
             r#"{"n":1,"zero":0,"min":5,"max":5}"#, // missing b
             r#"{"n":1,"zero":0,"min":5,"max":5,"b":[[1,1],[1,1]]}"#, // dup bucket
@@ -457,8 +546,7 @@ mod tests {
             r#"{"n":1,"zero":0,"min":5,"max":5,"b":[[2,0]]}"#, // zero count
             r#"{"n":1,"zero":0,"min":5,"max":5,"b":[[70000,1]]}"#, // idx overflow
         ] {
-            let doc = Json::parse(bad).unwrap();
-            assert!(QSketch::from_json(&doc).is_none(), "accepted {bad}");
+            assert!(load(bad).is_none(), "accepted {bad}");
         }
     }
 }

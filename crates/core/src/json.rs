@@ -1,11 +1,19 @@
-//! A minimal JSON document model, pretty-printer, and parser.
+//! A minimal JSON document model, pretty-printer, and reader.
 //!
 //! The workspace builds with no external crates (the registry may be
 //! unreachable), so the machine-readable output of the `tapo` and `repro`
 //! binaries is emitted through this module instead of a serialization
-//! framework. [`Json::parse`] reads documents back — `tapo advise`
-//! consumes the live pipeline's own JSON-lines interval reports.
+//! framework.
+//!
+//! Reading goes through one byte-level pull `Cursor`: the only string
+//! scanner and the only number scanner in the crate. [`Json::parse`] is a
+//! thin tree-builder over it, for small documents read with `get`; the
+//! report decoders (`report::parse`, `QSketch::decode`) pull fields
+//! straight off the cursor instead, because `tapo fleet` and `tapo advise`
+//! read the live pipeline's JSON-lines reports by the million and a tree
+//! per line was nine tenths of the aggregator's time.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value, built by hand at the emission site.
@@ -58,16 +66,9 @@ impl Json {
     /// non-whitespace is an error — JSON-lines input should be split into
     /// lines first.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut cur = Cursor::new(text);
+        let v = build(&mut cur)?;
+        cur.finish()?;
         Ok(v)
     }
 
@@ -233,18 +234,81 @@ impl Json {
     }
 }
 
-/// Recursive-descent parser over the raw bytes (JSON structure is ASCII;
-/// string contents pass through as validated UTF-8 from the input `&str`).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
 /// Parser recursion limit — deep enough for any report this toolchain
 /// emits, shallow enough that hostile input cannot overflow the stack.
 const MAX_DEPTH: usize = 128;
 
-impl<'a> Parser<'a> {
+/// One step of a [`Cursor`]: a whole scalar, or the opening bracket of a
+/// container whose contents the caller then walks with [`Cursor::key`] /
+/// [`Cursor::item`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// An integer that fits `i64` (`-0` is `Int(0)`).
+    Int(i64),
+    /// Any other number: a fraction, an exponent, or beyond `i64`.
+    Num(f64),
+    /// A string, borrowed from the input unless it contained escapes.
+    Str(Cow<'a, str>),
+    /// `[` — walk the items with [`Cursor::item`].
+    ArrStart,
+    /// `{` — walk the members with [`Cursor::key`].
+    ObjStart,
+}
+
+/// The one JSON reader: a pull cursor over the raw bytes (JSON structure is
+/// ASCII; string contents pass through as validated UTF-8 from the input
+/// `&str`). [`Json::parse`] builds its tree from these calls and the report
+/// decoders read fields straight off them, so every consumer accepts the
+/// same documents and reports the same [`JsonError`] for the same input.
+///
+/// Protocol: [`Cursor::value`] reads the value at the cursor. After an
+/// `ObjStart`, call [`Cursor::key`] until it returns `None`, consuming
+/// exactly one value (with `value`, [`Cursor::skip_value`] or a helper built
+/// on them) after each key; after an `ArrStart`, do the same with
+/// [`Cursor::item`] while it returns `true`. [`Cursor::finish`] closes the
+/// document.
+pub(crate) struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers currently open.
+    depth: usize,
+    /// The last token was an opening bracket: the next `key` / `item`
+    /// expects a first element or the closing bracket, not a comma.
+    opened: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the first value of `text`.
+    pub fn new(text: &'a str) -> Self {
+        let mut cur = Cursor {
+            text,
+            pos: 0,
+            depth: 0,
+            opened: false,
+        };
+        cur.skip_ws();
+        cur
+    }
+
+    /// The input not yet read.
+    pub fn rest(&self) -> &'a str {
+        &self.text[self.pos..]
+    }
+
+    /// End of document: only whitespace may follow the top-level value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    #[cold]
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -252,208 +316,393 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let hit = self.peek() == Some(byte);
+        self.pos += hit as usize;
+        hit
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        self.value_at(0)
-    }
-
-    fn value_at(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
+    /// Read the value at the cursor: all of a scalar, or just the opening
+    /// bracket of a container.
+    #[inline]
+    pub fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
+        self.opened = false;
+        match self.peek() {
+            Some(b'{') => Ok(self.open(Token::ObjStart)),
+            Some(b'[') => Ok(self.open(Token::ArrStart)),
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'n') => self.literal("null", Token::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn open(&mut self, token: Token<'a>) -> Token<'a> {
+        self.pos += 1;
+        self.depth += 1;
+        self.opened = true;
+        token
+    }
+
+    /// Step to the next element of the open container: past the comma
+    /// (unless the container was just opened), or past `close` — in which
+    /// case the container is done and `false` comes back.
+    #[inline]
+    fn element(&mut self, close: u8, expected: &str) -> Result<bool, JsonError> {
+        let first = std::mem::take(&mut self.opened);
+        self.skip_ws();
+        match self.peek() {
+            Some(byte) if byte == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            _ if first => Ok(true),
+            _ => Err(self.err(expected)),
+        }
+    }
+
+    /// Inside an object: the next member's key, leaving the cursor at its
+    /// value — or `None` once the closing `}` is consumed.
+    #[inline]
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.element(b'}', "expected `,` or `}`")? {
+            return Ok(None);
+        }
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected string key"));
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        if !self.eat(b':') {
+            return Err(self.err("expected `:`"));
+        }
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Inside an array: `true` with the cursor at the next item, or `false`
+    /// once the closing `]` is consumed.
+    #[inline]
+    pub fn item(&mut self) -> Result<bool, JsonError> {
+        self.element(b']', "expected `,` or `]`")
+    }
+
+    /// Consume the value at the cursor, whatever it is, validating it as
+    /// strictly as [`Json::parse`] would.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.value()? {
+            Token::ArrStart => {
+                while self.item()? {
+                    self.skip_value()?;
+                }
+            }
+            Token::ObjStart => {
+                while self.key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Open the object at the cursor; any other value is skipped and
+    /// reported as `false` (what [`Json::members`] returning `None` means
+    /// to a tree reader).
+    pub fn open_object(&mut self) -> Result<bool, JsonError> {
+        self.open_if(b'{')
+    }
+
+    /// Open the array at the cursor; any other value is skipped and
+    /// reported as `false`.
+    pub fn open_array(&mut self) -> Result<bool, JsonError> {
+        self.open_if(b'[')
+    }
+
+    fn open_if(&mut self, bracket: u8) -> Result<bool, JsonError> {
+        if self.peek() == Some(bracket) {
+            self.value()?;
+            Ok(true)
+        } else {
+            self.skip_value()?;
+            Ok(false)
+        }
+    }
+
+    /// The value at the cursor as [`Json::as_u64`] would read it; any other
+    /// value is skipped.
+    pub fn u64_or_skip(&mut self) -> Result<Option<u64>, JsonError> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.skip_value()?;
+            return Ok(None);
+        }
+        Ok(match self.value()? {
+            Token::Int(i) => u64::try_from(i).ok(),
+            _ => None,
+        })
+    }
+
+    /// The value at the cursor as [`Json::as_str`] would read it; any other
+    /// value is skipped.
+    pub fn str_or_skip(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.peek() != Some(b'"') {
+            self.skip_value()?;
+            return Ok(None);
+        }
+        Ok(match self.value()? {
+            Token::Str(s) => Some(s),
+            _ => None,
+        })
+    }
+
+    /// [`Json::get`] on a stream: `read` the value into `slot` if this is
+    /// the key's first occurrence, skip it otherwise.
+    pub fn first<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<(), JsonError> {
+        if slot.is_none() {
+            *slot = Some(read(self)?);
+            Ok(())
+        } else {
+            self.skip_value()
+        }
+    }
+
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+        if self.rest().starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err(format!("expected `{word}`")))
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.pos += 1; // consume `{`
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            if self.bytes.get(self.pos) != Some(&b'"') {
-                return Err(self.err("expected string key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.bytes.get(self.pos) != Some(&b':') {
-                return Err(self.err("expected `:`"));
-            }
-            self.pos += 1;
-            self.skip_ws();
-            pairs.push((key, self.value_at(depth + 1)?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.pos += 1; // consume `[`
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value_at(depth + 1)?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// The string at the cursor (which is on its opening quote). Borrowed
+    /// from the input when it holds no escapes.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.pos += 1; // consume opening quote
+        let start = self.pos;
+        self.plain_run();
+        if self.eat(b'"') {
+            // `plain_run` stops at ASCII bytes, so the slice lies on char
+            // boundaries of the input `&str`.
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        self.escaped_string(start)
+    }
+
+    /// Advance over string content that stands for itself: up to a quote,
+    /// a backslash, a control character or the end of input.
+    fn plain_run(&mut self) {
+        while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+            self.pos += 1;
+        }
+    }
+
+    /// The rest of a string whose plain prefix `start..pos` did not end at
+    /// the closing quote: decode escapes into an owned copy. Kept out of
+    /// line (like `long_number`) so the rare path does not bloat the
+    /// report decoders' loops — worth ~10 % of `tapo fleet` ingest.
+    #[inline(never)]
+    fn escaped_string(&mut self, start: usize) -> Result<Cow<'a, str>, JsonError> {
         let mut out = String::new();
+        let mut run = start;
         loop {
-            let start = self.pos;
-            // Bulk-copy the unescaped run.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            // Safe: `start..pos` stops at ASCII delimiters, so it lies on
-            // char boundaries of the original valid-UTF-8 `&str`.
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos]).expect("input is UTF-8"),
-            );
-            match self.bytes.get(self.pos) {
+            out.push_str(&self.text[run..self.pos]);
+            match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                    out.push(self.escape()?);
                 }
                 Some(_) => return Err(self.err("control character in string")),
                 None => return Err(self.err("unterminated string")),
             }
+            run = self.pos;
+            self.plain_run();
         }
     }
 
+    /// The character an escape sequence stands for (cursor just past the
+    /// backslash).
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if !self.rest().starts_with("\\u") {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"))?
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
+    }
+
+    /// Exactly four hex digits.
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let chunk = self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let mut v = 0;
+        for &b in chunk {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v << 4 | digit;
+        }
         self.pos += 4;
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// The number at the cursor, held to the RFC 8259 grammar:
+    /// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+    #[inline]
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        let negative = self.eat(b'-');
+        let int_start = self.pos;
+        let mut magnitude = 0u64;
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .wrapping_mul(10)
+                .wrapping_add((digit - b'0') as u64);
             self.pos += 1;
         }
-        let mut float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        let int_len = self.pos - int_start;
+        let ok = int_len == 1 || (int_len > 1 && self.text.as_bytes()[int_start] != b'0');
+        let more = matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        // The common case, a plain integer of at most 18 digits: it fits an
+        // i64 and the running sum cannot have wrapped.
+        if ok && !more && int_len <= 18 {
+            let i = magnitude as i64;
+            return Ok(Token::Int(if negative { -i } else { i }));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        if !float {
+        self.long_number(start, ok)
+    }
+
+    /// The rest of a number that is not a short plain integer: `start` is
+    /// where it began, the cursor is past its integer part, and `ok` says
+    /// whether that part was well-formed.
+    #[inline(never)]
+    fn long_number(&mut self, start: usize, mut ok: bool) -> Result<Token<'a>, JsonError> {
+        let mut integral = true;
+        if self.eat(b'.') {
+            integral = false;
+            ok &= self.digits() > 0;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            integral = false;
+            let _ = self.eat(b'+') || self.eat(b'-');
+            ok &= self.digits() > 0;
+        }
+        // Number characters left over (`1.2.3`, `1e5e`, `--1`) belong to
+        // the same malformed token; the error points past all of them.
+        let end = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        if !ok || self.pos != end {
+            return Err(self.err("malformed number"));
+        }
+        let text = &self.text[start..end];
+        if integral {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
+                return Ok(Token::Int(i));
             }
         }
+        // Beyond i64 falls back to float rather than erroring.
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(Token::Num)
             .map_err(|_| self.err("malformed number"))
     }
+
+    /// Consume a run of ASCII digits; how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+}
+
+/// The tree-builder: one [`Json`] node per cursor token.
+fn build(cur: &mut Cursor<'_>) -> Result<Json, JsonError> {
+    Ok(match cur.value()? {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(b),
+        Token::Int(i) => Json::Int(i),
+        Token::Num(x) => Json::Num(x),
+        Token::Str(s) => Json::Str(s.into_owned()),
+        Token::ArrStart => {
+            let mut items = Vec::new();
+            while cur.item()? {
+                items.push(build(cur)?);
+            }
+            Json::Arr(items)
+        }
+        Token::ObjStart => {
+            let mut pairs = Vec::new();
+            while let Some(key) = cur.key()? {
+                pairs.push((key.into_owned(), build(cur)?));
+            }
+            Json::Obj(pairs)
+        }
+    })
 }
 
 fn push_indent(out: &mut String, levels: usize) {
@@ -628,6 +877,83 @@ mod tests {
         );
         assert!(Json::parse(r#""\ud83d""#).is_err(), "unpaired surrogate");
         assert!(Json::parse(r#""\q""#).is_err(), "unknown escape");
+        // Exactly four hex digits: no sign, no short form.
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u41 x""#] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert_eq!((err.offset, &*err.message), (3, "invalid \\u escape"));
+        }
+        assert_eq!(
+            Json::parse(r#""\u41"#).unwrap_err().message,
+            "truncated \\u escape"
+        );
+    }
+
+    #[test]
+    fn cursor_borrows_unescaped_strings() {
+        let mut cur = Cursor::new(r#"{"plain":"caf\u00e9","caf\u00e9":"plain é"}"#);
+        assert_eq!(cur.value().unwrap(), Token::ObjStart);
+        assert!(matches!(cur.key().unwrap(), Some(Cow::Borrowed("plain"))));
+        assert!(matches!(cur.value().unwrap(), Token::Str(Cow::Owned(s)) if s == "café"));
+        assert!(matches!(cur.key().unwrap(), Some(Cow::Owned(k)) if k == "café"));
+        assert_eq!(cur.value().unwrap(), Token::Str(Cow::Borrowed("plain é")));
+        assert_eq!(cur.key().unwrap(), None);
+        cur.finish().unwrap();
+    }
+
+    #[test]
+    fn cursor_helpers_read_what_the_tree_accessors_read() {
+        let text = r#"{"a":7,"b":-0,"c":-1,"d":1.0,"e":"s","f":[1,{"g":null}],"a":8}"#;
+        let doc = Json::parse(text).unwrap();
+        let mut cur = Cursor::new(text);
+        assert!(cur.open_object().unwrap());
+        let mut a = None;
+        while let Some(key) = cur.key().unwrap() {
+            match &*key {
+                "a" => cur.first(&mut a, Cursor::u64_or_skip).unwrap(),
+                "e" => assert_eq!(cur.str_or_skip().unwrap().as_deref(), Some("s")),
+                "f" => assert!(!cur.open_object().unwrap(), "an array, skipped whole"),
+                k => assert_eq!(
+                    cur.u64_or_skip().unwrap(),
+                    doc.get(k).and_then(Json::as_u64),
+                    "{k}"
+                ),
+            }
+        }
+        assert_eq!(a, Some(doc.get("a").and_then(Json::as_u64)));
+        assert_eq!(a, Some(Some(7)), "first occurrence, as `get` reads it");
+        cur.finish().unwrap();
+    }
+
+    #[test]
+    fn skipping_validates_like_parsing() {
+        let skip = |text: &str| {
+            let mut cur = Cursor::new(text);
+            cur.skip_value()?;
+            cur.finish()
+        };
+        let deep = "[".repeat(5000);
+        for text in [
+            r#"{"a":[1,2,{"b":"\n"}],"c":null} "#,
+            "[]",
+            "{\"a\":1,}",
+            "[1 2]",
+            "{\"a\" 1}",
+            "{1:2}",
+            "[\"\\x\"]",
+            "[\"a\tb\"]",
+            "[01]",
+            "[1.]",
+            "[-]",
+            "[1] 2",
+            "",
+            &deep,
+            &format!("{{\"a\":{deep}"),
+        ] {
+            assert_eq!(skip(text), Json::parse(text).map(drop), "{text:?}");
+        }
+        let err = skip(&deep).unwrap_err();
+        assert_eq!((err.offset, &*err.message), (129, "nesting too deep"));
     }
 
     #[test]
@@ -657,10 +983,48 @@ mod tests {
         assert_eq!(Json::parse("-3").unwrap(), Json::Int(-3));
         assert_eq!(Json::parse("2.5").unwrap(), Json::Num(2.5));
         assert_eq!(Json::parse("1e3").unwrap(), Json::Num(1000.0));
+        assert_eq!(Json::parse("-0").unwrap(), Json::Int(0));
+        assert_eq!(Json::parse("-0.5e-1").unwrap(), Json::Num(-0.05));
+        assert_eq!(Json::parse("0E+2").unwrap(), Json::Num(0.0));
+        assert_eq!(
+            Json::parse("9223372036854775807").unwrap(),
+            Json::Int(i64::MAX)
+        );
         // Beyond i64 falls back to float rather than erroring.
+        assert_eq!(
+            Json::parse("9223372036854775808").unwrap(),
+            Json::Num(9223372036854775808.0)
+        );
         assert_eq!(
             Json::parse("99999999999999999999").unwrap(),
             Json::Num(1e20)
         );
+    }
+
+    #[test]
+    fn parse_holds_numbers_to_the_rfc_grammar() {
+        // (text, offset the error points at: past the whole number-like run)
+        for (bad, offset) in [
+            ("01", 2),
+            ("-01", 3),
+            ("00", 2),
+            ("1.", 2),
+            ("1.e5", 4),
+            ("-.5", 3),
+            ("1e", 2),
+            ("1e+", 3),
+            ("-", 1),
+            ("--1", 3),
+            ("1.2.3", 5),
+            ("1e5e5", 5),
+            ("1+1", 3),
+        ] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert_eq!(
+                (err.offset, &*err.message),
+                (offset, "malformed number"),
+                "{bad}"
+            );
+        }
     }
 }

@@ -448,6 +448,7 @@ impl crate::sink::Record for LiveSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::parse::parse_interval_line;
 
     fn empty_report() -> IntervalReport {
         IntervalReport {
@@ -538,13 +539,9 @@ mod tests {
             IntervalReport::csv_header().split(',').count()
         );
         // Round-trip: the wire form parses back to the same sketches.
-        let doc = Json::parse(&line).unwrap();
-        let s = doc.get("sketches").unwrap();
-        assert_eq!(QSketch::from_json(s.get("rtt_us").unwrap()).unwrap(), rtt);
-        assert_eq!(
-            QSketch::from_json(s.get("stall_us").unwrap()).unwrap(),
-            stall
-        );
+        let rec = parse_interval_line(&line).unwrap().unwrap();
+        assert_eq!(rec.rtt_sketch, Some(rtt));
+        assert_eq!(rec.stall_sketch, Some(stall));
     }
 
     #[test]

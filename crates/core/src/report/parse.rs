@@ -15,11 +15,12 @@
 //! not a silent zero — that is how feeding the CSV rendering, or a pcap,
 //! fails fast.
 
+use std::borrow::Cow;
 use std::io::BufRead;
 
 use crate::causes::{RetransClass, StallClass};
 use crate::fleet::sketch::QSketch;
-use crate::json::Json;
+use crate::json::{Cursor, JsonError};
 use crate::live::{class_slug, retrans_slug};
 
 /// A malformed input line: where it was and what was wrong with it.
@@ -83,15 +84,202 @@ pub struct ParsedInterval {
     pub stall_sketch: Option<QSketch>,
 }
 
-/// `(n, us)` cause-stats object under `by_cause` / `by_retrans`.
-fn cause_stats(slug: &str, stats: &Json) -> Result<(u64, u64), String> {
-    let field = |k: &str| {
-        stats
-            .get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("breakdown {slug:?}: missing or non-integer {k:?}"))
+/// A section's verdict as the tree decode would word it. Sections are read
+/// where they stand in the line but judged after it ends, because a syntax
+/// error anywhere outranks them and a non-interval line forgives them.
+type Section = Result<(), String>;
+
+/// `names` read off the object at the cursor as `get(name).and_then(as_u64)`
+/// would read them; a value that is not an object has none of them.
+fn u64_fields<const N: usize>(
+    cur: &mut Cursor<'_>,
+    names: [&str; N],
+) -> Result<[Option<u64>; N], JsonError> {
+    let mut slots = [None; N];
+    if cur.open_object()? {
+        while let Some(key) = cur.key()? {
+            match names.iter().position(|name| *name == key) {
+                Some(i) => cur.first(&mut slots[i], Cursor::u64_or_skip)?,
+                None => cur.skip_value()?,
+            }
+        }
+    }
+    Ok(slots.map(Option::flatten))
+}
+
+/// One of `breakdown`'s per-class objects (`by_cause` / `by_retrans`):
+/// `(n, us)` into the slot `index_of` names. Unknown slugs are skipped, not
+/// errors — a newer daemon may know classes this build does not. A repeated
+/// slug overwrites; the first malformed entry is the verdict.
+fn decode_classes(
+    cur: &mut Cursor<'_>,
+    section: &str,
+    index_of: impl Fn(&str) -> Option<usize>,
+    out: &mut [(u64, u64)],
+) -> Result<Section, JsonError> {
+    if !cur.open_object()? {
+        return Ok(Err(format!("breakdown.{section} is not an object")));
+    }
+    let mut verdict = Ok(());
+    while let Some(slug) = cur.key()? {
+        let Some(i) = index_of(&slug) else {
+            cur.skip_value()?;
+            continue;
+        };
+        let [n, us] = u64_fields(cur, ["n", "us"])?;
+        let field = |k: &str, v: Option<u64>| {
+            v.ok_or_else(|| format!("breakdown {:?}: missing or non-integer {k:?}", &*slug))
+        };
+        match (|| Ok((field("n", n)?, field("us", us)?)))() {
+            Ok(stats) => out[i] = stats,
+            Err(e) => verdict = verdict.and(Err(e)),
+        }
+    }
+    Ok(verdict)
+}
+
+fn decode_breakdown(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Section, JsonError> {
+    if !cur.open_object()? {
+        return Ok(Err("breakdown is not an object".into()));
+    }
+    let (mut stalls, mut stalled_us) = (None, None);
+    let (mut by_cause, mut by_retrans) = (None, None);
+    while let Some(key) = cur.key()? {
+        match &*key {
+            "stalls" => cur.first(&mut stalls, Cursor::u64_or_skip)?,
+            "stalled_us" => cur.first(&mut stalled_us, Cursor::u64_or_skip)?,
+            "by_cause" => cur.first(&mut by_cause, |cur| {
+                let index_of =
+                    |slug: &str| StallClass::ALL.iter().position(|c| class_slug(*c) == slug);
+                decode_classes(cur, "by_cause", index_of, &mut rec.by_cause)
+            })?,
+            "by_retrans" => cur.first(&mut by_retrans, |cur| {
+                let index_of = |slug: &str| {
+                    RetransClass::ALL
+                        .iter()
+                        .position(|c| retrans_slug(*c) == slug)
+                };
+                decode_classes(cur, "by_retrans", index_of, &mut rec.by_retrans)
+            })?,
+            _ => cur.skip_value()?,
+        }
+    }
+    let field = |k: &str, v: Option<Option<u64>>| {
+        v.flatten()
+            .ok_or_else(|| format!("breakdown: missing or non-integer {k:?}"))
     };
-    Ok((field("n")?, field("us")?))
+    Ok((|| {
+        rec.stalls = field("stalls", stalls)?;
+        rec.stalled_us = field("stalled_us", stalled_us)?;
+        by_cause.unwrap_or(Ok(()))?;
+        by_retrans.unwrap_or(Ok(()))
+    })())
+}
+
+/// `by_port`: every pair is kept, in the record's order; the first
+/// malformed pair is the verdict.
+fn decode_ports(
+    cur: &mut Cursor<'_>,
+    out: &mut Vec<(u16, PortCounts)>,
+) -> Result<Section, JsonError> {
+    if !cur.open_object()? {
+        return Ok(Err("by_port is not an object".into()));
+    }
+    let mut verdict = Ok(());
+    while let Some(key) = cur.key()? {
+        let [flows, stalls, stalled_us] = u64_fields(cur, ["flows", "stalls", "stalled_us"])?;
+        let pair = || {
+            let port: u16 = key
+                .parse()
+                .map_err(|_| format!("bad port key {:?}", &*key))?;
+            let field = |k: &str, v: Option<u64>| {
+                v.ok_or_else(|| format!("port {port}: missing or non-integer {k:?}"))
+            };
+            let counts = PortCounts {
+                flows: field("flows", flows)?,
+                stalls: field("stalls", stalls)?,
+                stalled_us: field("stalled_us", stalled_us)?,
+            };
+            Ok((port, counts))
+        };
+        match pair() {
+            Ok(pair) => out.push(pair),
+            Err(e) => verdict = verdict.and(Err(e)),
+        }
+    }
+    Ok(verdict)
+}
+
+fn decode_sketches(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Section, JsonError> {
+    let (mut rtt, mut stall) = (None, None);
+    if cur.open_object()? {
+        while let Some(key) = cur.key()? {
+            match &*key {
+                "rtt_us" => cur.first(&mut rtt, QSketch::decode)?,
+                "stall_us" => cur.first(&mut stall, QSketch::decode)?,
+                _ => cur.skip_value()?,
+            }
+        }
+    }
+    let sketch = |k: &str, v: Option<Option<QSketch>>| {
+        v.ok_or_else(|| format!("sketches: missing {k:?}"))?
+            .ok_or_else(|| format!("sketches: malformed {k:?}"))
+    };
+    Ok((|| {
+        rec.rtt_sketch = Some(sketch("rtt_us", rtt)?);
+        rec.stall_sketch = Some(sketch("stall_us", stall)?);
+        Ok(())
+    })())
+}
+
+/// The pull decode of one line. The outer error is a syntax error, which
+/// outranks everything; the inner result is what the line says once it is
+/// known to be one well-formed document.
+fn decode_line(line: &str) -> Result<Result<Option<ParsedInterval>, String>, JsonError> {
+    let mut cur = Cursor::new(line);
+    if !cur.open_object()? {
+        cur.finish()?;
+        return Ok(Err("not a JSON object".into()));
+    }
+    let mut rec = ParsedInterval::default();
+    let (mut kind, mut daemon) = (None, None);
+    let (mut interval, mut start_us, mut end_us) = (None, None, None);
+    let (mut packets, mut flows_finalized) = (None, None);
+    let (mut breakdown, mut by_port, mut sketches) = (None, None, None);
+    while let Some(key) = cur.key()? {
+        match &*key {
+            "kind" => cur.first(&mut kind, Cursor::str_or_skip)?,
+            "daemon" => cur.first(&mut daemon, Cursor::str_or_skip)?,
+            "interval" => cur.first(&mut interval, Cursor::u64_or_skip)?,
+            "start_us" => cur.first(&mut start_us, Cursor::u64_or_skip)?,
+            "end_us" => cur.first(&mut end_us, Cursor::u64_or_skip)?,
+            "packets" => cur.first(&mut packets, Cursor::u64_or_skip)?,
+            "flows_finalized" => cur.first(&mut flows_finalized, Cursor::u64_or_skip)?,
+            "breakdown" => cur.first(&mut breakdown, |cur| decode_breakdown(cur, &mut rec))?,
+            "by_port" => cur.first(&mut by_port, |cur| decode_ports(cur, &mut rec.by_port))?,
+            "sketches" => cur.first(&mut sketches, |cur| decode_sketches(cur, &mut rec))?,
+            _ => cur.skip_value()?,
+        }
+    }
+    cur.finish()?;
+    if kind.flatten().as_deref() != Some("interval") {
+        return Ok(Ok(None));
+    }
+    for section in [breakdown, by_port, sketches].into_iter().flatten() {
+        if let Err(e) = section {
+            return Ok(Err(e));
+        }
+    }
+    let num = |v: Option<Option<u64>>| v.flatten().unwrap_or(0);
+    rec.daemon = daemon
+        .flatten()
+        .map_or_else(|| "unknown".to_string(), Cow::into_owned);
+    rec.interval = num(interval);
+    rec.start_us = num(start_us);
+    rec.end_us = num(end_us);
+    rec.packets = num(packets);
+    rec.flows_finalized = num(flows_finalized);
+    Ok(Ok(Some(rec)))
 }
 
 /// Decode one non-blank report line.
@@ -101,96 +289,16 @@ fn cause_stats(slug: &str, stats: &Json) -> Result<(u64, u64), String> {
 /// merge of the interval deltas, so aggregating it too would double every
 /// total. Anything malformed is `Err(message)` (the caller attributes the
 /// line number).
+///
+/// Fields come straight off a `json::Cursor`; no tree is built. The result is
+/// what reading a [`Json`](crate::json::Json) tree with `get` would give:
+/// the first occurrence of a key is the one read (repeated class slugs
+/// inside `by_cause` / `by_retrans` overwrite, and every `by_port` pair is
+/// kept), a syntax error anywhere in the line — inside keys this decoder
+/// skips included — outranks a malformed section, and malformed sections
+/// are reported in `breakdown`, `by_port`, `sketches` order.
 pub fn parse_interval_line(line: &str) -> Result<Option<ParsedInterval>, String> {
-    let v = Json::parse(line).map_err(|e| format!("not a JSON report: {e}"))?;
-    if v.members().is_none() {
-        return Err("not a JSON object".into());
-    }
-    if v.get("kind").and_then(Json::as_str) != Some("interval") {
-        return Ok(None);
-    }
-    let num = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let mut rec = ParsedInterval {
-        daemon: v
-            .get("daemon")
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string(),
-        interval: num("interval"),
-        start_us: num("start_us"),
-        end_us: num("end_us"),
-        packets: num("packets"),
-        flows_finalized: num("flows_finalized"),
-        ..ParsedInterval::default()
-    };
-    if let Some(b) = v.get("breakdown") {
-        if b.members().is_none() {
-            return Err("breakdown is not an object".into());
-        }
-        let field = |k: &str| {
-            b.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("breakdown: missing or non-integer {k:?}"))
-        };
-        rec.stalls = field("stalls")?;
-        rec.stalled_us = field("stalled_us")?;
-        if let Some(classes) = b.get("by_cause") {
-            let pairs = classes
-                .members()
-                .ok_or_else(|| "breakdown.by_cause is not an object".to_string())?;
-            for (slug, stats) in pairs {
-                // Unknown slugs are skipped, not errors: a newer daemon may
-                // know cause classes this build does not.
-                if let Some(i) = StallClass::ALL.iter().position(|c| class_slug(*c) == slug) {
-                    rec.by_cause[i] = cause_stats(slug, stats)?;
-                }
-            }
-        }
-        if let Some(classes) = b.get("by_retrans") {
-            let pairs = classes
-                .members()
-                .ok_or_else(|| "breakdown.by_retrans is not an object".to_string())?;
-            for (slug, stats) in pairs {
-                if let Some(i) = RetransClass::ALL
-                    .iter()
-                    .position(|c| retrans_slug(*c) == slug)
-                {
-                    rec.by_retrans[i] = cause_stats(slug, stats)?;
-                }
-            }
-        }
-    }
-    if let Some(by_port) = v.get("by_port") {
-        let ports = by_port
-            .members()
-            .ok_or_else(|| "by_port is not an object".to_string())?;
-        for (port, delta) in ports {
-            let port: u16 = port.parse().map_err(|_| format!("bad port key {port:?}"))?;
-            let field = |k: &str| {
-                delta
-                    .get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("port {port}: missing or non-integer {k:?}"))
-            };
-            rec.by_port.push((
-                port,
-                PortCounts {
-                    flows: field("flows")?,
-                    stalls: field("stalls")?,
-                    stalled_us: field("stalled_us")?,
-                },
-            ));
-        }
-    }
-    if let Some(s) = v.get("sketches") {
-        let sketch = |k: &str| {
-            let doc = s.get(k).ok_or_else(|| format!("sketches: missing {k:?}"))?;
-            QSketch::from_json(doc).ok_or_else(|| format!("sketches: malformed {k:?}"))
-        };
-        rec.rtt_sketch = Some(sketch("rtt_us")?);
-        rec.stall_sketch = Some(sketch("stall_us")?);
-    }
-    Ok(Some(rec))
+    decode_line(line).map_err(|e| format!("not a JSON report: {e}"))?
 }
 
 /// Parse a whole report stream: every interval record in input order, plus
@@ -220,6 +328,115 @@ pub fn parse_reports<R: BufRead>(input: R) -> Result<(Vec<ParsedInterval>, u64),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use crate::live::{DaemonId, IntervalReport, LiveSummary, PortDelta};
+    use crate::report::StallBreakdown;
+    use simnet::rng::splitmix64;
+
+    /// `(n, us)` cause-stats object under `by_cause` / `by_retrans`.
+    fn cause_stats(slug: &str, stats: &Json) -> Result<(u64, u64), String> {
+        let field = |k: &str| {
+            stats
+                .get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("breakdown {slug:?}: missing or non-integer {k:?}"))
+        };
+        Ok((field("n")?, field("us")?))
+    }
+
+    /// The tree decode this module shipped before the pull decoder, kept as
+    /// the reference: build the whole [`Json`] tree, then read it with `get`.
+    fn tree_decode(line: &str) -> Result<Option<ParsedInterval>, String> {
+        let v = Json::parse(line).map_err(|e| format!("not a JSON report: {e}"))?;
+        if v.members().is_none() {
+            return Err("not a JSON object".into());
+        }
+        if v.get("kind").and_then(Json::as_str) != Some("interval") {
+            return Ok(None);
+        }
+        let num = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
+        let mut rec = ParsedInterval {
+            daemon: v
+                .get("daemon")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string(),
+            interval: num("interval"),
+            start_us: num("start_us"),
+            end_us: num("end_us"),
+            packets: num("packets"),
+            flows_finalized: num("flows_finalized"),
+            ..ParsedInterval::default()
+        };
+        if let Some(b) = v.get("breakdown") {
+            if b.members().is_none() {
+                return Err("breakdown is not an object".into());
+            }
+            let field = |k: &str| {
+                b.get(k)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("breakdown: missing or non-integer {k:?}"))
+            };
+            rec.stalls = field("stalls")?;
+            rec.stalled_us = field("stalled_us")?;
+            if let Some(classes) = b.get("by_cause") {
+                let pairs = classes
+                    .members()
+                    .ok_or_else(|| "breakdown.by_cause is not an object".to_string())?;
+                for (slug, stats) in pairs {
+                    // Unknown slugs are skipped, not errors: a newer daemon may
+                    // know cause classes this build does not.
+                    if let Some(i) = StallClass::ALL.iter().position(|c| class_slug(*c) == slug) {
+                        rec.by_cause[i] = cause_stats(slug, stats)?;
+                    }
+                }
+            }
+            if let Some(classes) = b.get("by_retrans") {
+                let pairs = classes
+                    .members()
+                    .ok_or_else(|| "breakdown.by_retrans is not an object".to_string())?;
+                for (slug, stats) in pairs {
+                    if let Some(i) = RetransClass::ALL
+                        .iter()
+                        .position(|c| retrans_slug(*c) == slug)
+                    {
+                        rec.by_retrans[i] = cause_stats(slug, stats)?;
+                    }
+                }
+            }
+        }
+        if let Some(by_port) = v.get("by_port") {
+            let ports = by_port
+                .members()
+                .ok_or_else(|| "by_port is not an object".to_string())?;
+            for (port, delta) in ports {
+                let port: u16 = port.parse().map_err(|_| format!("bad port key {port:?}"))?;
+                let field = |k: &str| {
+                    delta
+                        .get(k)
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| format!("port {port}: missing or non-integer {k:?}"))
+                };
+                rec.by_port.push((
+                    port,
+                    PortCounts {
+                        flows: field("flows")?,
+                        stalls: field("stalls")?,
+                        stalled_us: field("stalled_us")?,
+                    },
+                ));
+            }
+        }
+        if let Some(s) = v.get("sketches") {
+            let sketch = |k: &str| {
+                let doc = s.get(k).ok_or_else(|| format!("sketches: missing {k:?}"))?;
+                QSketch::from_json(doc).ok_or_else(|| format!("sketches: malformed {k:?}"))
+            };
+            rec.rtt_sketch = Some(sketch("rtt_us")?);
+            rec.stall_sketch = Some(sketch("stall_us")?);
+        }
+        Ok(Some(rec))
+    }
 
     #[test]
     fn minimal_interval_defaults_missing_fields() {
@@ -357,5 +574,300 @@ mod tests {
             parse_reports("{\"kind\":\"interval\"}\n{\"kind\":\"summary\"}\n".as_bytes()).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(skipped, 1);
+    }
+
+    /// Line 6 of a real `tapo live --daemon-id fe0` run over a
+    /// `synthesize mixed --flows 60 --seed 21` capture.
+    const REAL_LINE: &str =
+        "{\"kind\":\"interval\",\"daemon\":\"fe0\",\"interval\":5,\"start_us\":5000000,\"end_\
+         us\":6000000,\"packets\":1381,\"pkts_per_sec\":1381,\"packets_skipped\":0,\"packets_\
+         late\":0,\"flows_opened\":0,\"flows_finalized\":1,\"flows_closed\":1,\"flows_evicted\
+         _idle\":0,\"flows_shed\":0,\"active_flows\":10,\"flows_light\":0,\"flows_heavy\":10,\
+         \"promotions\":0,\"demotions\":0,\"live_stalls\":3,\"breakdown\":{\"stalls\":2,\"sta\
+         lled_us\":623576,\"by_cause\":{\"data_unavailable\":{\"n\":1,\"us\":279217},\"resour\
+         ce_constraint\":{\"n\":0,\"us\":0},\"client_idle\":{\"n\":0,\"us\":0},\"zero_window\"\
+         :{\"n\":0,\"us\":0},\"packet_delay\":{\"n\":0,\"us\":0},\"retransmission\":{\"n\":1,\
+         \"us\":344359},\"undetermined\":{\"n\":0,\"us\":0}},\"by_retrans\":{\"double_retrans\
+         \":{\"n\":1,\"us\":344359},\"tail_retrans\":{\"n\":0,\"us\":0},\"small_cwnd\":{\"n\"\
+         :0,\"us\":0},\"small_rwnd\":{\"n\":0,\"us\":0},\"continuous_loss\":{\"n\":0,\"us\":0\
+         },\"ack_delay_loss\":{\"n\":0,\"us\":0},\"undetermined\":{\"n\":0,\"us\":0}}},\"by_p\
+         ort\":{\"8080\":{\"flows\":1,\"stalls\":2,\"stalled_us\":623576}},\"sketches\":{\"rt\
+         t_us\":{\"n\":68,\"zero\":0,\"min\":116555,\"max\":1030459,\"b\":[[415,1],[417,1],[4\
+         18,1],[419,3],[420,2],[421,3],[422,3],[423,6],[424,10],[425,6],[426,4],[427,5],[428,\
+         1],[429,3],[430,5],[431,2],[434,2],[435,4],[436,1],[437,3],[439,1],[524,1]]},\"stall\
+         _us\":{\"n\":2,\"zero\":0,\"min\":279217,\"max\":344359,\"b\":[[459,1],[469,1]]}}}";
+
+    fn sample_report() -> IntervalReport {
+        let mut rtt = QSketch::new();
+        let mut stall = QSketch::new();
+        let mut draw = 2015;
+        for _ in 0..40 {
+            draw = splitmix64(draw);
+            rtt.insert(20_000 + draw % 80_000);
+            stall.insert(draw % 3 * (draw % 4_000_000));
+        }
+        IntervalReport {
+            daemon: DaemonId::new("fe1.pop-a").unwrap(),
+            interval: 2,
+            start_us: 2_000_000,
+            end_us: 3_000_000,
+            packets: 400,
+            packets_skipped: 1,
+            packets_late: 0,
+            flows_opened: 5,
+            flows_finalized: 3,
+            flows_closed: 3,
+            flows_evicted_idle: 0,
+            flows_shed: 0,
+            active_flows: 2,
+            flows_light: 1,
+            flows_heavy: 1,
+            promotions: 0,
+            demotions: 0,
+            live_stalls: 1,
+            breakdown: StallBreakdown::default(),
+            by_port: vec![
+                (
+                    80,
+                    PortDelta {
+                        flows: 2,
+                        stalls: 1,
+                        stalled_us: 2_000_000,
+                    },
+                ),
+                (
+                    443,
+                    PortDelta {
+                        flows: 1,
+                        stalls: 0,
+                        stalled_us: 0,
+                    },
+                ),
+            ],
+            rtt_sketch: Some(rtt),
+            stall_sketch: Some(stall),
+            shard_occupancy: None,
+        }
+    }
+
+    fn summary_line() -> String {
+        let report = sample_report();
+        let summary = LiveSummary {
+            rtt_sketch: report.rtt_sketch,
+            stall_sketch: report.stall_sketch,
+            ..LiveSummary::default()
+        };
+        summary.to_json().compact()
+    }
+
+    /// The validator: the cursor walking a document without keeping any of it.
+    fn skip(text: &str) -> Result<(), JsonError> {
+        let mut cur = Cursor::new(text);
+        cur.skip_value()?;
+        cur.finish()
+    }
+
+    /// Seeded splitmix64 draws (std-only, no process entropy).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = splitmix64(self.0);
+            (self.0 % n as u64) as usize
+        }
+
+        /// A cut point in `line`, moved forward to the next comma when
+        /// `on_comma`: a slice between two commas often holds whole
+        /// members, and deleting or repeating one leaves well-formed JSON
+        /// with a key missing or duplicated — the inputs the section rules
+        /// are about.
+        fn cut(&mut self, line: &[u8], on_comma: bool) -> usize {
+            let at = self.below(line.len() + 1);
+            let comma = line[at..].iter().position(|&b| on_comma && b == b',');
+            comma.map_or(at, |i| at + i)
+        }
+    }
+
+    /// One to three edits: delete a slice, insert a byte, replace a byte,
+    /// repeat a slice. Templates and alphabet are ASCII, so the result is
+    /// always a `&str`.
+    fn mutate(template: &str, rng: &mut Rng) -> String {
+        const ALPHABET: &[u8] = b"{}[]\",:\\-+.0123456789eEtrufalsn x/";
+        let mut line = template.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(3) {
+            let on_comma = rng.below(2) == 0;
+            let (x, y) = (rng.cut(&line, on_comma), rng.cut(&line, on_comma));
+            let (a, b) = (x.min(y), x.max(y));
+            let byte = ALPHABET[rng.below(ALPHABET.len())];
+            match rng.below(4) {
+                0 => drop(line.drain(a..b)),
+                1 => line.insert(a, byte),
+                2 => {
+                    if let Some(slot) = line.get_mut(a) {
+                        // A digit for a digit half the time: a changed
+                        // value, not a broken token.
+                        let digit = slot.is_ascii_digit() && byte & 1 == 0;
+                        *slot = if digit { b'0' + byte % 10 } else { byte };
+                    }
+                }
+                _ => {
+                    let slice = line[a..b.min(a + 400)].to_vec();
+                    line.splice(b..b, slice);
+                }
+            }
+        }
+        String::from_utf8(line).expect("ASCII edits of ASCII templates")
+    }
+
+    #[test]
+    fn pull_decode_equals_tree_decode_on_mutated_lines() {
+        let templates = [
+            REAL_LINE.to_string(),
+            sample_report().to_json().compact(),
+            summary_line(),
+            // Escaped keys and values, repeated keys, numbers at the edges
+            // of what `as_u64` takes.
+            "{\"k\\u0069nd\":\"interval\",\"daemon\":\"fe\\u0031\",\"daemon\":7,\
+             \"interval\":-0,\"start_us\":9223372036854775807,\
+             \"end_us\":9223372036854775808,\"packets\":1e3,\"packets\":5,\
+             \"by_p\\u006frt\":{\"80\":{\"flows\":1,\"stalls\":2,\"stalled_us\":3},\
+             \"80\":{\"flows\":4,\"stalls\":5,\"stalled_us\":6,\"flows\":0}},\
+             \"breakdown\":{\"stalled_us\":2,\"stalls\":1,\
+             \"by_retrans\":{\"tail_retrans\":{\"us\":1,\"n\":2},\"tail_retrans\":{\"n\":3,\"us\":4}},\
+             \"by_cause\":{\"client\\u005fidle\":{\"n\":1,\"us\":2},\"later\":[]}},\
+             \"sketches\":{\"stall_us\":{\"b\":[],\"n\":0,\"zero\":0,\"min\":0,\"max\":0},\
+             \"rtt_us\":{\"n\":2,\"zero\":0,\"min\":5,\"max\":9,\"b\":[[3,1],[4,1]]}}}"
+                .to_string(),
+        ];
+        for template in &templates {
+            assert_eq!(parse_interval_line(template), tree_decode(template));
+            assert!(tree_decode(template).is_ok(), "{template}");
+        }
+        let mut rng = Rng(0x7a90_2015);
+        // Syntax errors, section errors, skipped lines, records.
+        let mut outcomes = [0u32; 4];
+        for i in 0..100_000 {
+            let line = mutate(&templates[i % templates.len()], &mut rng);
+            let pull = parse_interval_line(&line);
+            assert_eq!(pull, tree_decode(&line), "{line}");
+            let syntax = matches!(&pull, Err(e) if e.starts_with("not a JSON report:"));
+            // The validator refuses exactly what the tree-builder refuses,
+            // in the same words.
+            match skip(&line) {
+                Ok(()) => assert!(!syntax, "{line}"),
+                Err(e) => assert_eq!(pull, Err(format!("not a JSON report: {e}")), "{line}"),
+            }
+            outcomes[match &pull {
+                Err(_) if syntax => 0,
+                Err(_) => 1,
+                Ok(None) => 2,
+                Ok(Some(_)) => 3,
+            }] += 1;
+        }
+        // The comparison has teeth only if every kind of outcome is common.
+        assert!(outcomes.iter().all(|&n| n >= 2_000), "{outcomes:?}");
+    }
+
+    #[test]
+    fn every_prefix_of_a_report_line_is_rejected() {
+        for line in [sample_report().to_json().compact(), summary_line()] {
+            assert!(tree_decode(&line).is_ok());
+            for end in 0..line.len() {
+                let prefix = &line[..end];
+                let err = parse_interval_line(prefix).expect_err(prefix);
+                assert!(err.starts_with("not a JSON report:"), "{prefix}: {err}");
+                assert_eq!(Err(err), tree_decode(prefix), "{prefix}");
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_in_skipped_and_decoded_values_is_an_error_not_an_overflow() {
+        let deep = "[".repeat(5000);
+        for line in [
+            format!("{{\"kind\":\"interval\",\"from_the_future\":{deep}"),
+            format!("{{\"kind\":\"interval\",\"sketches\":{{\"rtt_us\":{{\"b\":{deep}"),
+            format!("{{\"kind\":\"interval\",\"sketches\":{{\"rtt_us\":{{\"b\":[{deep}"),
+            format!("{{\"kind\":\"interval\",\"by_port\":{{\"80\":{{\"flows\":{deep}"),
+        ] {
+            let err = parse_interval_line(&line).unwrap_err();
+            assert!(err.ends_with("nesting too deep"), "{err}");
+            assert_eq!(Err(err), tree_decode(&line));
+        }
+    }
+
+    #[test]
+    fn edge_values_and_repeated_keys_read_as_the_tree_reads_them() {
+        let interval = |body: &str| format!("{{\"kind\":\"interval\",{body}}}");
+        let lines = [
+            // First occurrence wins for keys read with `get` …
+            interval("\"start_us\":1,\"start_us\":2"),
+            interval("\"start_us\":\"x\",\"start_us\":2"),
+            "{\"kind\":\"summary\",\"kind\":\"interval\"}".to_string(),
+            "{\"kind\":\"interval\",\"kind\":\"summary\",\"by_port\":[]}".to_string(),
+            interval("\"by_port\":{},\"by_port\":[]"),
+            interval("\"breakdown\":{\"stalls\":1,\"stalls\":\"x\",\"stalled_us\":2}"),
+            // … the last one inside by_cause / by_retrans, and every by_port pair is kept.
+            interval(
+                "\"breakdown\":{\"stalls\":1,\"stalled_us\":2,\"by_cause\":\
+                 {\"client_idle\":{\"n\":1,\"us\":2},\"client_idle\":{\"n\":3,\"us\":4}}}",
+            ),
+            interval(
+                "\"by_port\":{\"80\":{\"flows\":1,\"stalls\":2,\"stalled_us\":3},\
+                 \"80\":{\"flows\":4,\"stalls\":5,\"stalled_us\":6},\
+                 \"+81\":{\"flows\":7,\"stalls\":8,\"stalled_us\":9}}",
+            ),
+            // Numbers at the edges of `as_u64`.
+            interval("\"packets\":9223372036854775807"),
+            interval("\"packets\":9223372036854775808"),
+            interval("\"packets\":18446744073709551615"),
+            interval("\"packets\":-0"),
+            interval("\"packets\":-1"),
+            interval("\"packets\":1e3"),
+            interval("\"packets\":1.0"),
+            interval("\"by_port\":{\"80\":{\"flows\":-0,\"stalls\":0,\"stalled_us\":1e3}}"),
+            // Escapes in values and in section keys.
+            interval("\"daemon\":\"fe\\u0031\""),
+            interval("\"daemon\":\"a\\\"b\\\\c\\n\\ud83d\\ude00\""),
+            interval("\"by\\u005fport\":{\"\\u0038\\u0030\":{}}"),
+            interval("\"sketches\":{\"rtt\\u005fus\":{}}"),
+            // Error precedence: sections in breakdown, by_port, sketches
+            // order wherever they stand; a non-interval line forgives them;
+            // a syntax error outranks them.
+            interval("\"sketches\":{},\"by_port\":[],\"breakdown\":7"),
+            interval("\"sketches\":{},\"by_port\":[]"),
+            interval(
+                "\"breakdown\":{\"by_retrans\":7,\"by_cause\":{\"client_idle\":{\"us\":1}},\
+                 \"stalled_us\":-1}",
+            ),
+            interval(
+                "\"breakdown\":{\"by_retrans\":7,\"by_cause\":8,\"stalled_us\":1,\"stalls\":1}",
+            ),
+            "{\"kind\":\"other\",\"sketches\":{},\"by_port\":[]}".to_string(),
+            "{\"by_port\":[]}".to_string(),
+            interval("\"by_port\":[],\"later\":tru"),
+            interval("\"by_port\":[],\"later\":[1,]"),
+            interval("\"by_port\":[]") + " x",
+            "[{\"kind\":\"interval\"}]".to_string(),
+            "7".to_string(),
+            "  {\"kind\" : \"interval\" , \"daemon\" : \"ws\" }  ".to_string(),
+        ];
+        for line in &lines {
+            assert_eq!(parse_interval_line(line), tree_decode(line), "{line}");
+        }
+        // Spot checks, so that agreeing with the oracle is not all this says.
+        let rec = |body: &str| parse_interval_line(&interval(body)).unwrap().unwrap();
+        assert_eq!(rec("\"start_us\":1,\"start_us\":2").start_us, 1);
+        assert_eq!(rec("\"packets\":-0").packets, 0);
+        assert_eq!(
+            rec("\"packets\":9223372036854775807").packets,
+            i64::MAX as u64
+        );
+        assert_eq!(rec("\"packets\":9223372036854775808").packets, 0);
+        assert_eq!(rec("\"daemon\":\"fe\\u0031\"").daemon, "fe1");
+        assert_eq!(
+            parse_interval_line(&interval("\"sketches\":{},\"by_port\":[],\"breakdown\":7")),
+            Err("breakdown is not an object".into())
+        );
     }
 }

@@ -63,7 +63,7 @@
 //! by both live phases.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -155,7 +155,7 @@ struct LiveRun {
 /// *only* this pipeline's memory.
 fn live_phase(path: &Path, cfg: &LiveConfig, cap: usize) -> std::io::Result<()> {
     let t = Instant::now();
-    let result = live::run(BufReader::new(File::open(path)?), cfg, |_| {});
+    let result = live::run(File::open(path)?, cfg, |_| {});
     let secs = t.elapsed().as_secs_f64();
     let summary = result.map_err(|e| std::io::Error::other(e.to_string()))?;
     let doc = Json::obj([

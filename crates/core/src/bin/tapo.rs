@@ -36,8 +36,9 @@
 //!                   is byte-identical at any shard count)
 //!   --cells N       virtual flow cells — the shard-count-independent
 //!                   unit of flow ownership and cap splitting (default 64)
-//!   --batch N       ingestion batch size in packets (default 256; output
-//!                   is byte-identical at any batch size)
+//!   --batch N       most packets per ingestion batch (default 256) — a
+//!                   cap, not a quorum: a batch holds what the input has
+//!                   delivered; output is byte-identical at any value
 //!   --ring N        driver→shard work-ring depth in batch buffers
 //!                   (default 8)
 //!   --interval MS   reporting interval in capture time   (default 1000)
@@ -644,7 +645,8 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
         live::run(std::io::stdin().lock(), &cfg, &mut emit)
     } else {
         match File::open(&input) {
-            Ok(f) => live::run(BufReader::new(f), &cfg, &mut emit),
+            // No `BufReader`: `PcapStream` does its own segment-sized reads.
+            Ok(f) => live::run(f, &cfg, &mut emit),
             Err(e) => {
                 eprintln!("tapo live: cannot open {input}: {e}");
                 return ExitCode::FAILURE;

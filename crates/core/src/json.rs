@@ -132,7 +132,8 @@ impl Json {
     /// Render on a single line with no whitespace — the JSON-lines form
     /// used for the live reporter's per-interval records.
     pub fn compact(&self) -> String {
-        let mut out = String::new();
+        // A report line is 1–2 KB: start past the first seven doublings.
+        let mut out = String::with_capacity(1024);
         self.write_compact(&mut out);
         out
     }
@@ -141,9 +142,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Int(i) => write_int(out, *i),
             Json::Num(x) => {
                 if x.is_finite() {
                     let _ = write!(out, "{x}");
@@ -181,9 +180,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Int(i) => write_int(out, *i),
             Json::Num(x) => {
                 if x.is_finite() {
                     let _ = write!(out, "{x}");
@@ -711,21 +708,52 @@ fn push_indent(out: &mut String, levels: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Decimal digits from a stack buffer: integers are most of a report's
+/// values and `fmt` is several times the cost of the division loop.
+fn write_int(out: &mut String, i: i64) {
+    let mut buf = [0u8; 20]; // '-' and the 19 digits of `i64::MIN`
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    // Unescaped runs go out in one `push_str`. Every byte that needs an
+    // escape is ASCII, so cutting the string at it is a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match esc {
+            Some(esc) => out.push_str(esc),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -802,6 +830,12 @@ mod tests {
         assert!(s.contains("\"xs\": [\n"));
         assert!(s.contains("\"ok\": true"));
         assert!(s.contains("\"nothing\": null"));
+        // Escapes at both ends, back to back, and between multi-byte runs.
+        assert_eq!(
+            Json::from("\"é\u{1}\t✓\\\r").compact(),
+            r#""\"é\u0001\t✓\\\r""#
+        );
+        assert_eq!(Json::from("").compact(), r#""""#);
     }
 
     #[test]
@@ -812,6 +846,9 @@ mod tests {
             ("c", Json::obj([("d", Json::Null)])),
         ]);
         assert_eq!(doc.compact(), r#"{"a":1,"b":[1,2],"c":{"d":null}}"#);
+        for i in [0, 9, 10, -1, -10, 1_234_567_890_123, i64::MAX, i64::MIN] {
+            assert_eq!(Json::Int(i).compact(), i.to_string());
+        }
     }
 
     #[test]

@@ -320,9 +320,9 @@ impl LiveConfigBuilder {
         self
     }
 
-    /// Ingestion batch size in packets (1..=[`MAX_BATCH`]). Batch size 1
-    /// degenerates to per-packet handoff; reports are byte-identical at
-    /// any batch size either way.
+    /// Cap on an ingestion batch in packets (1..=[`MAX_BATCH`]); a slow
+    /// input yields shorter batches, never a wait. A cap of 1 degenerates
+    /// to per-packet handoff; reports are byte-identical at any value.
     pub fn batch(mut self, n: usize) -> Self {
         self.batch = n;
         self

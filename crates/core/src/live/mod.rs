@@ -9,15 +9,26 @@
 //! # Architecture
 //!
 //! The packet path is *batched end-to-end* and **partitioned by flow
-//! hash**. The segmented zero-copy reader
-//! ([`tcp_trace::pcap::PcapStream::fill_batch`]) decodes up to `batch`
-//! packets per refill into a reusable [`PacketBatch`]; a thin driver walks
-//! each batch in capture order and only routes: each flow hashes to one of
-//! `cells` **virtual cells** ([`cell_of`]), each cell is owned by exactly
-//! one shard (`cell % shards`), and the packet is staged to its owner's
-//! SPSC ring ([`ring`]) as [`Work`] — one handoff per shard per batch,
-//! with emptied batch buffers recycled back on reverse rings so the
-//! steady state allocates nothing.
+//! hash**. The zero-copy reader
+//! ([`tcp_trace::pcap::PcapStream::fill_batch`]) decodes the packets the
+//! input has already delivered — at most `batch` of them — into a reusable
+//! [`PacketBatch`]; a thin driver walks each batch in capture order and
+//! only routes: each flow hashes to one of `cells` **virtual cells**
+//! ([`cell_of`]), each cell is owned by exactly one shard
+//! (`cell % shards`), and the packet is staged to its owner's SPSC ring
+//! ([`ring`]) as [`Work`] — one handoff per shard per batch, with emptied
+//! batch buffers recycled back on reverse rings so the steady state
+//! allocates nothing.
+//!
+//! **Batches follow availability.** The driver blocks in one place, the
+//! reader's refill, and only when nothing decoded is waiting: `batch` is
+//! the cap on a batch, never a quorum. Whatever one `read` delivered is
+//! processed, flushed down the rings and — when it crossed an interval
+//! boundary — cut, merged and reported *before* the next `read` is
+//! issued, so on a trickling FIFO a report is never held back by packets
+//! that have not arrived, while a file or a full pipe still moves full
+//! batches. A driver that falls behind finds more input resident at its
+//! next read: batches grow with load by themselves.
 //!
 //! Each shard runs a [`ShardEngine`] owning *everything* for its cells:
 //! flow map, sequence trackers ([`tcp_trace::pcap::SeqTracker`]), light
@@ -136,8 +147,9 @@ pub struct LiveConfig {
     /// only on suspicion; `None` (the default) analyzes every flow heavy
     /// from the first packet, as before.
     pub tier: Option<TierConfig>,
-    /// Packets decoded (and work staged) per batch; 0 is treated as 1.
-    /// Output is identical at any batch size.
+    /// Most packets decoded (and work staged) per batch — a cap, not a
+    /// quorum: a batch holds what the input had delivered. 0 is treated
+    /// as 1. Output is identical at any batch size.
     pub batch: usize,
     /// Work-ring depth in batch buffers (backpressure toward the driver);
     /// 0 is treated as 1.
@@ -152,7 +164,7 @@ pub struct LiveConfig {
     pub sketch: bool,
 }
 
-/// Default packets per batch (one handoff per shard per batch).
+/// Default cap on packets per batch (one handoff per shard per batch).
 pub const DEFAULT_BATCH: usize = 256;
 /// Default work-ring depth in batch buffers.
 pub const DEFAULT_RING_DEPTH: usize = 8;

@@ -35,6 +35,12 @@ pub struct TimerWheel {
     /// Deadlines at or beyond `base_us + span`.
     far: BinaryHeap<Reverse<TimerEntry>>,
     len: usize,
+    /// Nothing fires and no bucket turns before this instant: at most the
+    /// end of the current bucket's window and at most every pending
+    /// deadline (`u64::MAX` while empty). Lets the per-packet
+    /// [`TimerWheel::advance_into`] return on one compare instead of
+    /// rescanning the current bucket.
+    quiet_until_us: u64,
 }
 
 impl TimerWheel {
@@ -48,6 +54,7 @@ impl TimerWheel {
             cursor: 0,
             far: BinaryHeap::new(),
             len: 0,
+            quiet_until_us: u64::MAX,
         }
     }
 
@@ -75,6 +82,10 @@ impl TimerWheel {
     /// [`TimerWheel::advance_into`].
     pub fn schedule(&mut self, e: TimerEntry) {
         self.len += 1;
+        self.quiet_until_us = self
+            .quiet_until_us
+            .min(e.0)
+            .min(self.base_us + self.width_us);
         if e.0 >= self.base_us + self.span_us() {
             self.far.push(Reverse(e));
             return;
@@ -102,10 +113,15 @@ impl TimerWheel {
     /// callers revalidate against authoritative per-slot state anyway).
     /// Collecting into a caller buffer (rather than a callback) lets the
     /// caller reschedule stale entries while draining.
+    #[inline]
     pub fn advance_into(&mut self, now_us: u64, out: &mut Vec<TimerEntry>) {
-        if self.len == 0 || now_us < self.base_us {
+        if now_us < self.quiet_until_us || now_us < self.base_us {
             return;
         }
+        self.advance_slow(now_us, out);
+    }
+
+    fn advance_slow(&mut self, now_us: u64, out: &mut Vec<TimerEntry>) {
         // Whole buckets whose window has fully passed.
         while self.base_us + self.width_us <= now_us {
             // Every ring bucket empty (all pending entries are in `far`):
@@ -133,7 +149,9 @@ impl TimerWheel {
             self.base_us += self.width_us;
             self.refill_from_far();
         }
-        // Due entries inside the current (partially elapsed) bucket.
+        // Due entries inside the current (partially elapsed) bucket; the
+        // earliest one left behind bounds the next quiet stretch.
+        let mut quiet = u64::MAX;
         let cur = &mut self.buckets[self.cursor];
         let mut i = 0;
         while i < cur.len() {
@@ -141,18 +159,24 @@ impl TimerWheel {
                 out.push(cur.swap_remove(i));
                 self.len -= 1;
             } else {
+                quiet = quiet.min(cur[i].0);
                 i += 1;
             }
         }
         // Far entries can be due directly after a large time jump.
         while let Some(&Reverse(e)) = self.far.peek() {
             if e.0 > now_us {
+                quiet = quiet.min(e.0);
                 break;
             }
             self.far.pop();
             self.len -= 1;
             out.push(e);
         }
+        if self.len > 0 {
+            quiet = quiet.min(self.base_us + self.width_us);
+        }
+        self.quiet_until_us = quiet;
     }
 }
 
@@ -250,6 +274,41 @@ mod tests {
         w.advance_into(10_000_000_001, &mut out);
         assert_eq!(out, vec![(10_000_000_000, 2, 0)]);
         assert!(w.is_empty());
+    }
+
+    /// The quiet-stretch shortcut must never hide a due entry: at every
+    /// step of a seeded schedule/advance walk (steps from sub-bucket to
+    /// several spans, deadlines past, near and far) the wheel fires exactly
+    /// the pending entries with `deadline <= now`.
+    #[test]
+    fn fires_exactly_the_due_set_at_every_step() {
+        let mut rng: u64 = 0x77ee1;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let mut w = TimerWheel::new(100, 8); // span = 800
+        let mut pending: Vec<TimerEntry> = Vec::new();
+        let mut now = 0u64;
+        for id in 0..4_000u32 {
+            if next() % 3 != 0 {
+                let d = (now + next() % 2_500).saturating_sub(next() % 300);
+                w.schedule((d, id, 0));
+                pending.push((d, id, 0));
+            }
+            now += match next() % 8 {
+                0 => 0,
+                1 => 1_000 + next() % 3_000,
+                _ => next() % 40,
+            };
+            let mut due: Vec<TimerEntry> = pending.iter().copied().filter(|e| e.0 <= now).collect();
+            pending.retain(|e| e.0 > now);
+            due.sort_unstable();
+            assert_eq!(drain_sorted(&mut w, now), due, "at now={now}");
+            assert_eq!(w.len(), pending.len());
+        }
     }
 
     #[test]

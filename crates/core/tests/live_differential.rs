@@ -327,3 +327,157 @@ fn aggregated_summary_counters_match_the_inline_path_exactly() {
         assert!(par.ring_fresh_buffers > 0, "parallel path must use rings");
     }
 }
+
+/// What `live::run` did with a [`Pieces`] input, in order.
+#[derive(Debug, PartialEq)]
+enum Event {
+    /// A `read` was issued after this many pieces had been handed over.
+    Read(usize),
+    /// An interval report was emitted (its rendered line).
+    Report(String),
+}
+
+/// A `Read` that hands the capture over at most one piece per call and
+/// journals every call; the report callback writes into the same journal,
+/// so the order of reads and reports is on record.
+struct Pieces<'a> {
+    data: &'a [u8],
+    /// Ascending piece ends; the last is `data.len()`.
+    ends: Vec<usize>,
+    pos: usize,
+    journal: &'a std::cell::RefCell<Vec<Event>>,
+}
+
+impl std::io::Read for Pieces<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let handed = self.ends.partition_point(|&e| e <= self.pos);
+        self.journal.borrow_mut().push(Event::Read(handed));
+        let Some(&end) = self.ends.get(handed) else {
+            return Ok(0);
+        };
+        let n = buf.len().min(end - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Piece ends that hand over the global header, then one record a call;
+/// and, by the driver's own cut rule, the index of the packet that triggers
+/// each interval report but the last (which end of input triggers).
+fn records_and_triggers(capture: &[u8], interval_us: u64) -> (Vec<usize>, Vec<usize>) {
+    let le32 = |at: usize| u32::from_le_bytes(capture[at..at + 4].try_into().unwrap());
+    let (mut ends, mut triggers) = (vec![24], Vec::new());
+    let mut next_cut_us = 0u64;
+    let mut pos = 24;
+    while pos < capture.len() {
+        let t_us = le32(pos) as u64 * 1_000_000 + le32(pos + 4) as u64;
+        if t_us >= next_cut_us {
+            if ends.len() > 1 {
+                triggers.push(ends.len() - 1);
+            }
+            next_cut_us = (t_us / interval_us + 1) * interval_us;
+        }
+        pos += 16 + le32(pos + 8) as usize;
+        ends.push(pos);
+    }
+    (ends, triggers)
+}
+
+fn report_lines(journal: &[Event]) -> Vec<&String> {
+    journal
+        .iter()
+        .filter_map(|e| match e {
+            Event::Report(line) => Some(line),
+            Event::Read(_) => None,
+        })
+        .collect()
+}
+
+fn journaled_run(capture: &[u8], ends: Vec<usize>, cfg: &LiveConfig) -> (Vec<Event>, String) {
+    let journal = std::cell::RefCell::new(Vec::new());
+    let input = Pieces {
+        data: capture,
+        ends,
+        pos: 0,
+        journal: &journal,
+    };
+    let summary = live::run(input, cfg, |r| {
+        let line = r.to_json().compact();
+        journal.borrow_mut().push(Event::Report(line));
+    })
+    .expect("live run succeeds");
+    (journal.into_inner(), summary.to_json().compact())
+}
+
+/// Availability-driven batching, seen from outside: on an input that
+/// trickles one record per `read`, every interval report is out *before*
+/// the pipeline asks for input again after its trigger packet arrived —
+/// inline and through the shard rings alike — and the bytes are the
+/// closed-loop run's. With a batch quorum the report would wait for up to
+/// `batch - 1` further reads.
+#[test]
+fn reports_never_wait_on_input_that_has_not_arrived() {
+    let capture = interleaved_capture();
+    let interval = SimDuration::from_millis(100);
+    let (ends, triggers) = records_and_triggers(&capture, interval.as_micros());
+    assert!(
+        triggers.len() >= 10,
+        "want many cuts, got {}",
+        triggers.len()
+    );
+    for shards in [1usize, 2] {
+        let cfg = LiveConfig {
+            shards,
+            interval,
+            ..Default::default()
+        };
+        let mut closed = Vec::new();
+        let closed_summary = live::run(&capture[..], &cfg, |r| closed.push(r.to_json().compact()))
+            .expect("live run succeeds")
+            .to_json()
+            .compact();
+        let (journal, summary) = journaled_run(&capture, ends.clone(), &cfg);
+        let at = |e: &Event| journal.iter().position(|x| x == e).expect("in the journal");
+
+        let reports = report_lines(&journal);
+        assert_eq!(
+            reports,
+            closed.iter().collect::<Vec<_>>(),
+            "{shards} shard(s)"
+        );
+        assert_eq!(summary, closed_summary, "{shards} shard(s)");
+        assert_eq!(reports.len(), triggers.len() + 1);
+
+        // Packet `p` is piece `p + 1`, handed over by the read journaled as
+        // `Read(p + 1)`; the next read is `Read(p + 2)`.
+        for (k, &p) in triggers.iter().enumerate() {
+            let report = at(&Event::Report(closed[k].clone()));
+            assert!(
+                at(&Event::Read(p + 1)) < report && report < at(&Event::Read(p + 2)),
+                "{shards} shard(s): report {k} (trigger packet {p}) waited for more input"
+            );
+        }
+    }
+}
+
+/// A capture cut mid-record, arriving seven bytes a read: the partial tail
+/// is counted once, nothing hangs, and everything before it is reported as
+/// from a file.
+#[test]
+fn capture_cut_mid_record_ends_countably_under_short_reads() {
+    let mut capture = interleaved_capture();
+    capture.truncate(capture.len() - 9);
+    let cfg = LiveConfig::default();
+    let mut closed = Vec::new();
+    let closed_summary = live::run(&capture[..], &cfg, |r| closed.push(r.to_json().compact()))
+        .expect("live run succeeds");
+    assert_eq!(closed_summary.records_truncated, 1);
+
+    let ends = (1..=capture.len().div_ceil(7))
+        .map(|i| (i * 7).min(capture.len()))
+        .collect();
+    let (journal, summary) = journaled_run(&capture, ends, &cfg);
+    assert_eq!(report_lines(&journal), closed.iter().collect::<Vec<_>>());
+    assert_eq!(summary, closed_summary.to_json().compact());
+}

@@ -32,8 +32,9 @@
 //!           [--daemon-id ID] [--sketch on|off]
 //!
 //!   --shards N      worker shards, each owning its slice of the flow
-//!                   space (default: available cores, capped at 8; output
-//!                   is byte-identical at any shard count)
+//!                   space (default 1: the inline engine, until a shard
+//!                   count wins a measurement; output is byte-identical
+//!                   at any shard count)
 //!   --cells N       virtual flow cells — the shard-count-independent
 //!                   unit of flow ownership and cap splitting (default 64)
 //!   --batch N       most packets per ingestion batch (default 256) — a
@@ -200,6 +201,18 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     Ok(opts)
 }
 
+/// Exit status after a failed write of results. A closed stdout
+/// (`tapo live cap.pcap | head -1`) means the reader has taken all it
+/// wanted, so the run stops quietly and successfully; any other write
+/// error is reported and fails the run.
+fn write_failed(mode: &str, e: &std::io::Error) -> u8 {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        return 0;
+    }
+    eprintln!("tapo {mode}: cannot write results: {e}");
+    1
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
     if args.peek().map(String::as_str) == Some("live") {
@@ -348,24 +361,23 @@ fn run_advise(mut args: impl Iterator<Item = String>) -> ExitCode {
         advices.len()
     );
     let stdout = std::io::stdout();
-    let mut sink: Box<dyn ReportSink> = if csv {
-        let mut s = CsvSink::new(stdout.lock());
-        if s.write_header(&tapo::ServiceAdvice::csv_header()).is_err() {
-            return ExitCode::FAILURE;
+    let emit_all = || -> std::io::Result<()> {
+        let mut sink: Box<dyn ReportSink> = if csv {
+            let mut s = CsvSink::new(stdout.lock());
+            s.write_header(&tapo::ServiceAdvice::csv_header())?;
+            Box::new(s)
+        } else {
+            Box::new(JsonLinesSink::new(stdout.lock()))
+        };
+        for advice in &advices {
+            sink.emit(advice)?;
         }
-        Box::new(s)
-    } else {
-        Box::new(JsonLinesSink::new(stdout.lock()))
+        sink.finish()
     };
-    for advice in &advices {
-        if sink.emit(advice).is_err() {
-            return ExitCode::FAILURE;
-        }
+    match emit_all() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => ExitCode::from(write_failed("advise", &e)),
     }
-    if sink.finish().is_err() {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 fn run_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
@@ -465,7 +477,7 @@ fn run_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     );
 
     let stdout = std::io::stdout();
-    let ok = if csv {
+    let written = if csv {
         // Stdout stays one clean spreadsheet of fleet intervals; alerts get
         // their own CSV table on stderr, and the summary (plus advice, if
         // requested) follows there as JSON-lines.
@@ -490,7 +502,7 @@ fn run_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
             }
             side.finish()
         };
-        emit_all().is_ok()
+        emit_all()
     } else {
         let emit_all = || -> std::io::Result<()> {
             let mut sink = JsonLinesSink::new(stdout.lock());
@@ -506,12 +518,11 @@ fn run_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
             }
             sink.finish()
         };
-        emit_all().is_ok()
+        emit_all()
     };
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => ExitCode::from(write_failed("fleet", &e)),
     }
 }
 
@@ -631,15 +642,19 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     let stdout = std::io::stdout();
     let mut sink: Box<dyn ReportSink> = if csv {
         let mut s = CsvSink::new(stdout.lock());
-        if s.write_header(&live::IntervalReport::csv_header()).is_err() {
-            return ExitCode::FAILURE;
+        if let Err(e) = s.write_header(&live::IntervalReport::csv_header()) {
+            return ExitCode::from(write_failed("live", &e));
         }
         Box::new(s)
     } else {
         Box::new(JsonLinesSink::new(stdout.lock()))
     };
+    // The pipeline has no way to be told to stop early, and once stdout
+    // is gone nothing it computes can reach anyone: end the process here.
     let mut emit = |r: &live::IntervalReport| {
-        sink.emit(r).expect("write report to stdout");
+        if let Err(e) = sink.emit(r) {
+            std::process::exit(write_failed("live", &e).into());
+        }
     };
     let result = if input == "-" {
         live::run(std::io::stdin().lock(), &cfg, &mut emit)
@@ -655,18 +670,15 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     };
     match result {
         Ok(summary) => {
-            let ok = if csv {
-                sink.finish().is_ok()
-                    && JsonLinesSink::new(std::io::stderr().lock())
-                        .emit(&summary)
-                        .is_ok()
+            let written = if csv {
+                sink.finish()
+                    .and_then(|()| JsonLinesSink::new(std::io::stderr().lock()).emit(&summary))
             } else {
-                sink.emit(&summary).is_ok() && sink.finish().is_ok()
+                sink.emit(&summary).and_then(|()| sink.finish())
             };
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+            match written {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => ExitCode::from(write_failed("live", &e)),
             }
         }
         Err(e) => {

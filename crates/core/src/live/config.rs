@@ -189,12 +189,14 @@ pub struct LiveConfigBuilder {
     sketch: bool,
 }
 
-/// The CLI-facing shard default: one worker per available core, capped
-/// at 8 (beyond that the single reader thread is the bottleneck anyway).
-/// [`LiveConfig::default`] stays at 1 so library embedders opt into
-/// parallelism explicitly.
+/// The CLI-facing shard default: 1, the inline engine with no threads or
+/// rings, until a shard count wins a measurement. On the 2-vCPU machines
+/// measured so far a second shard ran at 0.83–1.24× the inline engine
+/// (`live.driver.shard_speedup`): the serial reader and decode are a
+/// large fixed share, and a light-tier update is too cheap to pay for a
+/// ring handoff. `--shards N` still opts into N worker threads.
 pub fn default_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+    1
 }
 
 impl Default for LiveConfigBuilder {
@@ -439,10 +441,10 @@ mod tests {
     fn defaults_round_trip_to_the_default_config() {
         let built = LiveConfigBuilder::new().build().unwrap();
         let d = LiveConfig::default();
-        // The builder (the CLI path) defaults shards to the machine's
-        // parallelism; the plain library default stays at 1.
+        // The builder (the CLI path) and the plain library default both
+        // run the inline engine until a shard count wins a measurement.
         assert_eq!(built.shards, default_shards());
-        assert!((1..=8).contains(&built.shards));
+        assert_eq!(built.shards, 1);
         assert_eq!(d.shards, 1);
         assert_eq!(built.cells, d.cells);
         assert_eq!(built.interval, d.interval);

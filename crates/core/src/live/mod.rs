@@ -53,8 +53,9 @@
 //!   cells are spread over shards;
 //! * the global `max_flows` / heavy caps are split into fixed per-cell
 //!   quotas that sum exactly to the cap ([`shard`] module docs);
-//! * each flow's analysis depends only on its own records (analyzers are
-//!   recycled through exact resets);
+//! * each flow's analysis depends only on its own records (an analyzer
+//!   lives and dies with its heavy flow, so nothing carries over between
+//!   flows);
 //! * per-interval sub-reports ([`IntervalDelta`]) are commutative integer
 //!   merges, collected at a [`Work::Cut`] barrier and folded in canonical
 //!   shard order before each report is rendered;
@@ -67,10 +68,14 @@
 //! # Memory bound
 //!
 //! With a cap of `max_flows`, the engines together hold at most that many
-//! flow states (per-cell quotas sum to the cap; plus recycled free
-//! pools); everything else is O(shards) or O(interval). The load
-//! generator in the `workloads` crate feeds the 10k-flow capture the
-//! bench gate uses to assert the bound.
+//! flow states (per-cell quotas sum to the cap). An analyzer lives and
+//! dies with its heavy flow: it is freed when the flow finalizes or is
+//! demoted, so heavy-tier memory follows the flows open now, not the
+//! largest flows seen earlier. Everything else is O(shards) or
+//! O(interval). The load generator in the `workloads` crate feeds the
+//! 10k-flow capture the bench gate uses to assert the bound, and
+//! `tests/live_memory.rs` checks that the heap falls back once the heavy
+//! flows have ended.
 
 mod config;
 mod fnv;
@@ -113,8 +118,8 @@ pub struct LiveConfig {
     /// Per-flow analyzer parameters.
     pub analyzer: AnalyzerConfig,
     /// Worker shards (0 is treated as 1). Output is identical at any
-    /// count; the builder defaults to `available_parallelism()` capped
-    /// at 8, while `LiveConfig::default()` stays at 1 for library users.
+    /// count; both the builder ([`default_shards`]) and
+    /// `LiveConfig::default()` default to 1, the inline engine.
     pub shards: usize,
     /// Virtual flow cells — the shard-count-independent unit of flow
     /// ownership and cap splitting (0 is treated as 1; clamped to

@@ -10,10 +10,10 @@
 //! to *suspect* trouble — an RFC 6298-style SRTT/RTO estimate from a single
 //! timing probe, last sequence/ack offsets, in-flight bytes, duplicate-ACK /
 //! retransmission / ACK-silence counters — and only suspicious flows are
-//! **promoted** to the heavy tier (a recycled full analyzer from the
-//! owning shard's pool), carrying the light-tier estimates forward as a
-//! [`MonitorSeed`]. Flows that go quiet again are **demoted** back with
-//! hysteresis.
+//! **promoted** to the heavy tier (a full analyzer of their own, seeded
+//! with the light-tier estimates as a [`MonitorSeed`]). Flows that go
+//! quiet again are **demoted** back with hysteresis, and their analyzer is
+//! freed: an analyzer lives and dies with its heavy flow.
 //!
 //! Each shard engine owns one [`LightTable`] covering exactly the flows
 //! whose hash cells it owns, and all decisions here are pure functions of
@@ -41,11 +41,11 @@ pub struct TierConfig {
     /// threshold (`min(2·SRTT, RTO)`) with data outstanding.
     pub promote_stalls: u32,
     /// Demote a heavy flow after this many consecutive event-free packets
-    /// (hysteresis against pool thrash); `0` never demotes.
+    /// (hysteresis against promote/demote thrash); `0` never demotes.
     pub demote_streak: u32,
     /// Hard cap on concurrently promoted (heavy) flows across all shards;
     /// `0` is unbounded. Denied promotions retry on the next suspicious
-    /// packet, so a drained pool degrades coverage, not correctness.
+    /// packet, so a full heavy tier degrades coverage, not correctness.
     pub heavy_max: usize,
 }
 
@@ -67,13 +67,13 @@ impl Default for TierConfig {
 ///
 /// Transitions (driver-serial, so identical at any shard count):
 /// `Light → Heavy` when a [`LightTable`] heuristic flags suspicion (and the
-/// heavy pool has room), seeding the analyzer with a [`MonitorSeed`];
+/// cell's heavy quota has room), seeding the analyzer with a [`MonitorSeed`];
 /// `Heavy → Light` after [`TierConfig::demote_streak`] event-free packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowMonitor {
     /// Compact always-on state only; no analyzer allocated.
     Light,
-    /// Escalated: a recycled heavy analyzer tracks the flow on its shard.
+    /// Escalated: the flow's own heavy analyzer tracks it on its shard.
     Heavy,
 }
 
@@ -250,7 +250,7 @@ impl LightTable {
     /// Clear the sticky suspicion counters after a demotion, so the flow
     /// must accumulate *fresh* evidence before it is promoted again —
     /// without this, one historical retransmission burst would re-promote
-    /// on the very next packet and thrash the heavy pool.
+    /// on the very next packet and thrash the heavy tier.
     pub fn rearm(&mut self, slot: u32) {
         let r = &mut self.rows[slot as usize];
         r.dupacks = 0;

@@ -304,11 +304,11 @@ pub struct LiveSummary {
     pub promotions: u64,
     /// Heavy→light hysteresis demotions over the whole run.
     pub demotions: u64,
-    /// Suspicious flows left light because the heavy pool was at its cap
+    /// Suspicious flows left light because the heavy tier was at its cap
     /// (they retry on their next suspicious packet).
     pub promotions_denied: u64,
-    /// Sum of per-cell heavy high-water marks (bounds analyzer-pool
-    /// memory; equals `max_active_flows` under always-heavy mode). Like
+    /// Sum of per-cell heavy high-water marks (bounds how many analyzers
+    /// were alive at once; equals `max_active_flows` under always-heavy mode). Like
     /// `max_active_flows`, shard-invariant and never above `heavy_max`
     /// when capped.
     pub max_heavy_flows: u64,

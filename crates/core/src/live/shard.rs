@@ -3,8 +3,8 @@
 //!
 //! Each shard runs a [`ShardEngine`] owning every per-flow structure for
 //! the virtual cells it is responsible for: the FNV-keyed flow map, slot
-//! slab, sequence trackers, light-tier rows ([`LightTable`]), recycled
-//! heavy analyzers, a lazy timer wheel, per-cell LRU lanes, and the
+//! slab, sequence trackers, light-tier rows ([`LightTable`]), the heavy
+//! flows' analyzers, a lazy timer wheel, per-cell LRU lanes, and the
 //! dead-key map. *All* lifecycle decisions — admit, 4-tuple-reuse
 //! displacement, FIN/RST linger, idle eviction, LRU shedding, light↔heavy
 //! promotion/demotion — are made locally by the owning engine; the driver
@@ -26,11 +26,13 @@
 //! * every [`IntervalDelta`] field is a commutative integer merge, and
 //!   the driver folds them in canonical shard order at each cut.
 //!
-//! Analyzers are recycled through a free pool
-//! ([`crate::StreamAnalyzer::finish_reset`]), and emptied work-batch
-//! buffers are pushed back to the driver on a reverse ring, so a
-//! long-running shard reaches a steady state with zero per-batch
-//! allocation.
+//! An analyzer lives and dies with its heavy flow: it is created when the
+//! flow is admitted (always-heavy) or promoted, and
+//! [`crate::StreamAnalyzer::finish`] consumes it when the flow finalizes
+//! or is demoted, so heavy-tier memory follows the flows open now, never
+//! the largest flow seen before. Emptied work-batch buffers are pushed
+//! back to the driver on a reverse ring, so a long-running shard reaches a
+//! steady state with zero per-batch allocation.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
@@ -46,9 +48,6 @@ use crate::live::wheel::{TimerEntry, TimerWheel};
 use crate::live::{cell_of, FnvState};
 use crate::report::StallBreakdown;
 use crate::{AnalyzerConfig, FlowAnalysis, StreamAnalyzer};
-
-/// Sentinel: flow is light (no analyzer-pool index bound).
-const NONE: u32 = u32::MAX;
 
 /// Stragglers on an evicted key are dropped (and counted) for this long
 /// before the key is forgotten and a new packet may reopen it as a flow.
@@ -224,8 +223,8 @@ pub struct EngineTotals {
     /// shard count because cells are).
     pub active_hw: u64,
     /// Sum over this engine's cells of each cell's concurrent-heavy
-    /// high-water mark (bounds analyzer-pool memory; `≤ heavy_max` when
-    /// capped).
+    /// high-water mark (bounds how many analyzers were ever alive at once;
+    /// `≤ heavy_max` when capped).
     pub heavy_hw: u64,
 }
 
@@ -291,8 +290,9 @@ struct EngineFlow {
     lane: u32,
     tracker: SeqTracker,
     closed: bool,
-    /// Analyzer-pool index when heavy; [`NONE`] when light.
-    heavy_idx: u32,
+    /// The flow's analyzer while it is heavy, `None` while it is light.
+    /// Boxed so a light flow's slot stays small.
+    heavy: Option<Box<StreamAnalyzer>>,
     /// Authoritative eviction deadline; `u64::MAX` = none.
     deadline_us: u64,
     /// Earliest outstanding wheel entry (lazy-timer bookkeeping).
@@ -338,10 +338,6 @@ pub struct ShardEngine {
     /// Earliest expiry in `dead_q` (`u64::MAX` when empty): the per-packet
     /// purge check is a register compare, not a deque probe.
     dead_next_us: u64,
-    tracker_pool: Vec<SeqTracker>,
-
-    pool: Vec<StreamAnalyzer>,
-    pool_free: Vec<u32>,
 
     delta: IntervalDelta,
     collected: Vec<(u64, FlowKey, FlowAnalysis)>,
@@ -392,27 +388,34 @@ impl ShardEngine {
             dead: HashMap::default(),
             dead_q: VecDeque::new(),
             dead_next_us: u64::MAX,
-            tracker_pool: Vec::new(),
-            pool: Vec::new(),
-            pool_free: Vec::new(),
             delta: IntervalDelta::default(),
             collected: Vec::new(),
         }
     }
 
-    /// Fold a closed analysis's distributions into the interval sketches
-    /// (the same fold discipline as `breakdown.add_flow`, applied on both
-    /// the finalize and demote paths so no diagnosed episode is lost).
-    fn sketch_analysis(&mut self, analysis: &FlowAnalysis) {
-        if !self.sketch {
-            return;
+    /// Close a heavy episode: fold its analysis into the interval
+    /// (breakdown, sketches, per-port stalls) and give its place in the
+    /// lane's heavy quota back. Shared by the finalize and demote paths so
+    /// no diagnosed episode is lost.
+    fn close_heavy(&mut self, lane: u32, port: u16, analysis: &FlowAnalysis) {
+        self.delta.breakdown.add_flow(analysis);
+        if self.sketch {
+            for s in &analysis.stalls {
+                self.delta.stall_sketch.insert(s.duration.as_micros());
+            }
+            for r in &analysis.rtt_samples {
+                self.delta.rtt_sketch.insert(r.as_micros());
+            }
         }
-        for s in &analysis.stalls {
-            self.delta.stall_sketch.insert(s.duration.as_micros());
-        }
-        for r in &analysis.rtt_samples {
-            self.delta.rtt_sketch.insert(r.as_micros());
-        }
+        let entry = self.delta.port_entry(port);
+        entry.stalls += analysis.stalls.len() as u64;
+        entry.stalled_us += analysis
+            .stalls
+            .iter()
+            .map(|s| s.duration.as_micros())
+            .sum::<u64>();
+        self.lane_heavy[lane as usize] -= 1;
+        self.heavy_total -= 1;
     }
 
     fn timers_enabled(&self) -> bool {
@@ -444,23 +447,14 @@ impl ShardEngine {
         }
     }
 
-    /// Bind a recycled (or fresh) heavy analyzer to the flow in `slot`.
+    /// Give the flow in `slot` a fresh heavy analyzer, seeded from the
+    /// light row on promotion.
     fn open_heavy(&mut self, slot: u32, lane: u32, seed: Option<crate::live::MonitorSeed>) {
-        let idx = match self.pool_free.pop() {
-            Some(i) => i,
-            None => {
-                self.pool.push(StreamAnalyzer::new(self.analyzer_cfg));
-                (self.pool.len() - 1) as u32
-            }
+        let analyzer = match seed {
+            Some(s) => StreamAnalyzer::seeded(self.analyzer_cfg, &s),
+            None => StreamAnalyzer::new(self.analyzer_cfg),
         };
-        match seed {
-            Some(s) => self.pool[idx as usize].reset_seeded(self.analyzer_cfg, &s),
-            None => self.pool[idx as usize].reset_for(self.analyzer_cfg),
-        }
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("occupied")
-            .heavy_idx = idx;
+        self.slots[slot as usize].as_mut().expect("occupied").heavy = Some(Box::new(analyzer));
         self.lane_heavy[lane as usize] += 1;
         self.heavy_total += 1;
         let hw = &mut self.heavy_hw[lane as usize];
@@ -490,8 +484,6 @@ impl ShardEngine {
             }
         };
         self.gens[slot as usize] = self.gens[slot as usize].wrapping_add(1);
-        let mut tracker = self.tracker_pool.pop().unwrap_or_default();
-        tracker.reset();
         // Two-tier: every flow starts light (no analyzer); always-heavy:
         // open the analyzer at the first packet, as before.
         if self.tier.is_some() {
@@ -501,9 +493,9 @@ impl ShardEngine {
             key: pkt.key,
             uid: gidx,
             lane,
-            tracker,
+            tracker: SeqTracker::new(),
             closed: false,
-            heavy_idx: NONE,
+            heavy: None,
             deadline_us: u64::MAX,
             wheel_deadline_us: u64::MAX,
         });
@@ -526,12 +518,12 @@ impl ShardEngine {
             flow.closed = true;
         }
         let closed = flow.closed;
-        let heavy_idx = flow.heavy_idx;
         if let Some(rec) = rec {
             match self.tier {
                 // Always-heavy: the legacy path, zero light-tier overhead.
                 None => {
-                    if self.pool[heavy_idx as usize].push(&rec).is_some() {
+                    let analyzer = flow.heavy.as_mut().expect("always-heavy flow");
+                    if analyzer.push(&rec).is_some() {
                         self.delta.live_stalls += 1;
                     }
                 }
@@ -539,8 +531,8 @@ impl ShardEngine {
                     // The light row tracks every flow — heavy ones too, so
                     // the calm-streak hysteresis has something to read.
                     let verdict = self.light.update(slot, &rec, t_us, &tier);
-                    if heavy_idx != NONE {
-                        if self.pool[heavy_idx as usize].push(&rec).is_some() {
+                    if let Some(analyzer) = flow.heavy.as_mut() {
+                        if analyzer.push(&rec).is_some() {
                             self.delta.live_stalls += 1;
                         }
                         if tier.demote_streak > 0
@@ -581,63 +573,36 @@ impl ShardEngine {
     }
 
     /// Hysteresis demotion: the flow stayed calm for the configured
-    /// streak, so recycle its analyzer and fall back to the light row
-    /// (whose counters are re-armed so the next promotion needs fresh
+    /// streak, so finish and free its analyzer and fall back to the light
+    /// row (whose counters are re-armed so the next promotion needs fresh
     /// evidence, not leftovers from the previous episode). The heavy
     /// episode's stalls are real and already reported live; fold them so
     /// demotion never loses diagnosed intervals.
     fn demote(&mut self, slot: u32, lane: u32) {
         let flow = self.slots[slot as usize].as_mut().expect("occupied");
-        let idx = flow.heavy_idx;
+        let analyzer = flow.heavy.take().expect("demoting a light flow");
         let port = flow.key.server_port;
-        debug_assert_ne!(idx, NONE, "demoting a light flow");
-        flow.heavy_idx = NONE;
-        let analysis = self.pool[idx as usize].finish_reset();
-        self.delta.breakdown.add_flow(&analysis);
-        self.sketch_analysis(&analysis);
-        let entry = self.delta.port_entry(port);
-        entry.stalls += analysis.stalls.len() as u64;
-        entry.stalled_us += analysis
-            .stalls
-            .iter()
-            .map(|s| s.duration.as_micros())
-            .sum::<u64>();
-        self.pool_free.push(idx);
-        self.lane_heavy[lane as usize] -= 1;
-        self.heavy_total -= 1;
+        let analysis = analyzer.finish();
+        self.close_heavy(lane, port, &analysis);
         self.delta.demotions += 1;
         self.light.rearm(slot);
     }
 
     fn finalize(&mut self, slot: u32, now_us: u64, reason: Reason) {
-        let mut flow = self.slots[slot as usize].take().expect("occupied");
+        let flow = self.slots[slot as usize].take().expect("occupied");
         self.map.remove(&flow.key);
         self.lru.remove(flow.lane, slot);
         self.free.push(slot);
         // Only heavy flows have an analyzer to close; a light finalize
         // contributes nothing to the breakdown — undiagnosed by design,
         // that is the whole saving.
-        if flow.heavy_idx != NONE {
-            let idx = flow.heavy_idx;
-            let analysis = self.pool[idx as usize].finish_reset();
-            self.delta.breakdown.add_flow(&analysis);
-            self.sketch_analysis(&analysis);
-            let entry = self.delta.port_entry(flow.key.server_port);
-            entry.stalls += analysis.stalls.len() as u64;
-            entry.stalled_us += analysis
-                .stalls
-                .iter()
-                .map(|s| s.duration.as_micros())
-                .sum::<u64>();
+        if let Some(analyzer) = flow.heavy {
+            let analysis = analyzer.finish();
+            self.close_heavy(flow.lane, flow.key.server_port, &analysis);
             if self.collect {
                 self.collected.push((flow.uid, flow.key, analysis));
             }
-            self.pool_free.push(idx);
-            self.lane_heavy[flow.lane as usize] -= 1;
-            self.heavy_total -= 1;
         }
-        flow.tracker.reset();
-        self.tracker_pool.push(flow.tracker);
         self.delta.flows_finalized += 1;
         self.delta.port_entry(flow.key.server_port).flows += 1;
         match reason {

@@ -104,13 +104,13 @@ pub enum RetransKind {
     Timeout,
 }
 
-/// Lifetime history of one transmitted segment.
+/// Lifetime history of one transmitted segment: only what a later
+/// retransmission or the classifier reads. The length and first
+/// transmission time live on the scoreboard while the segment is
+/// outstanding, and nothing needs them afterwards, so an entry here
+/// stays at [`SegHist::ENTRY_BYTES`] per segment for the flow's lifetime.
 #[derive(Debug, Clone)]
 pub struct SegHist {
-    /// Payload length.
-    pub len: u32,
-    /// Time of original transmission.
-    pub first_tx: SimTime,
     /// Time of the most recent (re)transmission.
     pub last_tx: SimTime,
     /// Total transmissions (1 = never retransmitted).
@@ -119,6 +119,12 @@ pub struct SegHist {
     pub first_retrans: Option<RetransKind>,
     /// A DSACK later reported this segment as received in duplicate.
     pub dsacked: bool,
+}
+
+impl SegHist {
+    /// Bytes one history entry (start offset plus history) occupies in a
+    /// [`SegHistMap`].
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<(u64, SegHist)>();
 }
 
 /// One observed retransmission event.
@@ -450,7 +456,7 @@ impl Replay {
         self.synack_at = None;
     }
 
-    /// Adopt light-tier estimates as the starting point of a freshly reset
+    /// Adopt light-tier estimates as the starting point of a fresh
     /// reconstruction — the mid-flow promotion path of two-tier monitoring.
     ///
     /// The stream offsets, RTT estimate and window state carry over, so the
@@ -588,8 +594,6 @@ impl Replay {
         }
         // New data (tolerate a gap if the capture missed packets).
         let hist = SegHist {
-            len: rec.len,
-            first_tx: rec.t,
             last_tx: rec.t,
             tx_count: 1,
             first_retrans: None,
@@ -657,8 +661,6 @@ impl Replay {
             self.hist.insert(
                 rec.seq,
                 SegHist {
-                    len: rec.len,
-                    first_tx: rec.t,
                     last_tx: rec.t,
                     tx_count: 2,
                     first_retrans: Some(kind),
@@ -935,6 +937,14 @@ mod tests {
         }
         rp.finish();
         rp
+    }
+
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn history_entries_stay_small() {
+        // Every segment a flow ever sent keeps one entry until the flow
+        // ends, on the offline and live paths alike.
+        assert!(SegHist::ENTRY_BYTES <= 24, "{} bytes", SegHist::ENTRY_BYTES);
     }
 
     #[test]

@@ -117,16 +117,16 @@ impl StreamAnalyzer {
         self.time_regressions = 0;
     }
 
-    /// Rewind like [`StreamAnalyzer::reset_for`], then adopt light-tier
-    /// estimates ([`crate::live::MonitorSeed`]) as the starting state — the
-    /// promotion path of two-tier monitoring. The seeded SRTT keeps the
-    /// stall threshold meaningful from the first post-promotion gap
-    /// (instead of falling back to the initial RTO), and the seeded stream
-    /// offsets make re-sent pre-promotion segments classify as
-    /// retransmissions.
-    pub fn reset_seeded(&mut self, cfg: AnalyzerConfig, seed: &crate::live::MonitorSeed) {
-        self.reset_for(cfg);
-        self.replay.seed(seed);
+    /// A fresh analyzer that adopts light-tier estimates
+    /// ([`crate::live::MonitorSeed`]) as its starting state — the promotion
+    /// path of two-tier monitoring. The seeded SRTT keeps the stall
+    /// threshold meaningful from the first post-promotion gap (instead of
+    /// falling back to the initial RTO), and the seeded stream offsets make
+    /// re-sent pre-promotion segments classify as retransmissions.
+    pub fn seeded(cfg: AnalyzerConfig, seed: &crate::live::MonitorSeed) -> Self {
+        let mut analyzer = Self::new(cfg);
+        analyzer.replay.seed(seed);
+        analyzer
     }
 
     /// Close the flow and produce the full (offline-equivalent) analysis.
@@ -354,8 +354,7 @@ mod tests {
             TraceRecord::pure_ack(SimTime::from_millis(150), Direction::In, 3000, 1 << 20),
         ];
 
-        let mut seeded = StreamAnalyzer::new(AnalyzerConfig::default());
-        seeded.reset_seeded(AnalyzerConfig::default(), &seed);
+        let mut seeded = StreamAnalyzer::seeded(AnalyzerConfig::default(), &seed);
         let mut live = Vec::new();
         for rec in &post {
             if let Some(s) = seeded.push(rec) {

@@ -1,7 +1,7 @@
 //! Two-tier escalation properties: a flow promoted mid-stream must agree
 //! with an always-heavy analyzer about every stall that starts after the
-//! promotion, hysteresis must keep the heavy pool from thrashing, and the
-//! heavy cap must deny (not shed) when the pool is full.
+//! promotion, hysteresis must keep the heavy tier from thrashing, and the
+//! heavy cap must deny (not shed) when the heavy tier is full.
 //!
 //! The captures are handcrafted so every signal is unambiguous: clean
 //! ~50 ms RTT exchanges establish the estimators, one known trigger
@@ -209,7 +209,7 @@ fn promoted_flows_classify_post_promotion_stalls_like_always_heavy() {
 
 /// Hysteresis: calm gaps shorter than `demote_streak` must not demote, so
 /// a bursty-but-active flow occupies exactly one heavy slot for its whole
-/// life instead of bouncing through the pool.
+/// life instead of bouncing between the tiers.
 #[test]
 fn short_calm_runs_do_not_thrash_the_heavy_pool() {
     let mut r = Vec::new();
@@ -294,7 +294,7 @@ fn long_calm_runs_demote_and_rearm() {
     assert_eq!(summary.max_heavy_flows, 1);
 }
 
-/// A full heavy pool denies promotion instead of shedding or panicking,
+/// A full heavy tier denies promotion instead of shedding or panicking,
 /// and counts the denial.
 #[test]
 fn heavy_cap_denies_promotions_without_shedding() {

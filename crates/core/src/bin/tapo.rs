@@ -115,7 +115,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{self, BufReader, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -201,15 +201,15 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     Ok(opts)
 }
 
-/// Exit status after a failed write of results. A closed stdout
-/// (`tapo live cap.pcap | head -1`) means the reader has taken all it
-/// wanted, so the run stops quietly and successfully; any other write
+/// Exit status after `command` failed to write its results. A closed
+/// stdout (`tapo live cap.pcap | head -1`) means the reader has taken all
+/// it wanted, so the run stops quietly and successfully; any other write
 /// error is reported and fails the run.
-fn write_failed(mode: &str, e: &std::io::Error) -> u8 {
-    if e.kind() == std::io::ErrorKind::BrokenPipe {
+fn write_failed(command: &str, e: &io::Error) -> u8 {
+    if e.kind() == io::ErrorKind::BrokenPipe {
         return 0;
     }
-    eprintln!("tapo {mode}: cannot write results: {e}");
+    eprintln!("{command}: cannot write results: {e}");
     1
 }
 
@@ -269,18 +269,25 @@ fn main() -> ExitCode {
     let analyses: Vec<FlowAnalysis> =
         simnet::par::par_map(flows.len(), threads, |i| analyze_flow(&flows[i], opts.cfg));
 
-    if opts.dump {
-        for (i, flow) in flows.iter().enumerate() {
-            println!("# flow #{i}");
-            print!("{}", tcp_trace::text::render_flow(flow));
+    let mut out = io::stdout().lock();
+    let mut write_all = || -> io::Result<()> {
+        if opts.dump {
+            for (i, flow) in flows.iter().enumerate() {
+                writeln!(out, "# flow #{i}")?;
+                write!(out, "{}", tcp_trace::text::render_flow(flow))?;
+            }
         }
+        if opts.json {
+            write_json(&mut out, &flows, &analyses, &opts, &stats)?;
+        } else {
+            write_text(&mut out, &flows, &analyses, &opts, &stats)?;
+        }
+        out.flush()
+    };
+    match write_all() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => ExitCode::from(write_failed("tapo", &e)),
     }
-    if opts.json {
-        print_json(&flows, &analyses, &opts, &stats);
-    } else {
-        print_text(&flows, &analyses, &opts, &stats);
-    }
-    ExitCode::SUCCESS
 }
 
 fn run_advise(mut args: impl Iterator<Item = String>) -> ExitCode {
@@ -376,7 +383,7 @@ fn run_advise(mut args: impl Iterator<Item = String>) -> ExitCode {
     };
     match emit_all() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => ExitCode::from(write_failed("advise", &e)),
+        Err(e) => ExitCode::from(write_failed("tapo advise", &e)),
     }
 }
 
@@ -522,7 +529,7 @@ fn run_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     };
     match written {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => ExitCode::from(write_failed("fleet", &e)),
+        Err(e) => ExitCode::from(write_failed("tapo fleet", &e)),
     }
 }
 
@@ -643,7 +650,7 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut sink: Box<dyn ReportSink> = if csv {
         let mut s = CsvSink::new(stdout.lock());
         if let Err(e) = s.write_header(&live::IntervalReport::csv_header()) {
-            return ExitCode::from(write_failed("live", &e));
+            return ExitCode::from(write_failed("tapo live", &e));
         }
         Box::new(s)
     } else {
@@ -653,7 +660,7 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     // is gone nothing it computes can reach anyone: end the process here.
     let mut emit = |r: &live::IntervalReport| {
         if let Err(e) = sink.emit(r) {
-            std::process::exit(write_failed("live", &e).into());
+            std::process::exit(write_failed("tapo live", &e).into());
         }
     };
     let result = if input == "-" {
@@ -678,7 +685,7 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
             };
             match written {
                 Ok(()) => ExitCode::SUCCESS,
-                Err(e) => ExitCode::from(write_failed("live", &e)),
+                Err(e) => ExitCode::from(write_failed("tapo live", &e)),
             }
         }
         Err(e) => {
@@ -688,7 +695,13 @@ fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, stats: &PcapStats) {
+fn write_text(
+    out: &mut impl Write,
+    flows: &[FlowTrace],
+    analyses: &[FlowAnalysis],
+    opts: &Options,
+    stats: &PcapStats,
+) -> io::Result<()> {
     let mut breakdown = StallBreakdown::default();
     let mut flows_with_stalls = 0usize;
     let mut total_bytes = 0u64;
@@ -700,7 +713,8 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
         total_bytes += a.metrics.goodput_bytes;
     }
 
-    println!(
+    writeln!(
+        out,
         "{} flows, {:.1} MB served; {} flows ({:.0}%) stalled; {} stalls, {:.1}s stalled in total",
         flows.len(),
         total_bytes as f64 / 1e6,
@@ -708,49 +722,55 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
         100.0 * flows_with_stalls as f64 / flows.len().max(1) as f64,
         breakdown.total_stalls,
         breakdown.total_stalled.as_secs_f64(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{} packets decoded, {} skipped (non-IPv4/TCP or malformed), {} truncated record(s)",
         stats.packets, stats.packets_skipped, stats.records_truncated,
-    );
+    )?;
 
-    println!("\nstall causes (volume% / time%):");
+    writeln!(out, "\nstall causes (volume% / time%):")?;
     for class in StallClass::ALL {
         let share = breakdown.share(class);
         if share.volume_pct > 0.0 {
-            println!(
+            writeln!(
+                out,
                 "  {:<12} {:>5.1}% / {:>5.1}%",
                 class.label(),
                 share.volume_pct,
                 share.time_pct
-            );
+            )?;
         }
     }
     if breakdown.any_retrans() {
-        println!("\ntimeout-retransmission breakdown (volume% / time% of retrans stalls):");
+        writeln!(
+            out,
+            "\ntimeout-retransmission breakdown (volume% / time% of retrans stalls):"
+        )?;
         for class in RetransClass::ALL {
             let share = breakdown.retrans_share(class);
             if share.volume_pct > 0.0 {
-                println!(
+                writeln!(
+                    out,
                     "  {:<14} {:>5.1}% / {:>5.1}%",
                     class.label(),
                     share.volume_pct,
                     share.time_pct
-                );
+                )?;
             }
         }
     }
 
     if opts.show_flows {
-        println!("\nper-flow summary (worst stalled first):");
-        println!("{}", tapo::FlowSummary::header());
+        writeln!(out, "\nper-flow summary (worst stalled first):")?;
+        writeln!(out, "{}", tapo::FlowSummary::header())?;
         for row in tapo::summary::rank_by_stalled(analyses) {
-            println!("{}", row.row());
+            writeln!(out, "{}", row.row())?;
         }
     }
 
     if opts.show_stalls {
-        println!("\nper-flow stall log:");
+        writeln!(out, "\nper-flow stall log:")?;
         for (i, a) in analyses.iter().enumerate() {
             let interesting: Vec<_> = a
                 .stalls
@@ -760,7 +780,8 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
             if interesting.is_empty() {
                 continue;
             }
-            println!(
+            writeln!(
+                out,
                 "flow #{i}: {} bytes, {:.1}s, {:.0}% stalled{}",
                 a.metrics.goodput_bytes,
                 a.metrics.duration.as_secs_f64(),
@@ -768,19 +789,21 @@ fn print_text(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
                 a.init_rwnd
                     .map(|w| format!(", init rwnd {w}B"))
                     .unwrap_or_default(),
-            );
+            )?;
             for s in interesting {
-                println!(
+                writeln!(
+                    out,
                     "  {:>10} +{:>9}  {:<40} in_flight={} state={:?}",
                     s.start.to_string(),
                     s.duration.to_string(),
                     cause_str(&s.cause),
                     s.snapshot.in_flight,
                     s.snapshot.ca_state,
-                );
+                )?;
             }
         }
     }
+    Ok(())
 }
 
 fn cause_str(cause: &StallCause) -> String {
@@ -824,7 +847,13 @@ fn stall_json(s: &Stall) -> Json {
     ])
 }
 
-fn print_json(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, stats: &PcapStats) {
+fn write_json(
+    out: &mut impl Write,
+    flows: &[FlowTrace],
+    analyses: &[FlowAnalysis],
+    opts: &Options,
+    stats: &PcapStats,
+) -> io::Result<()> {
     let flows_json: Vec<Json> = analyses
         .iter()
         .zip(flows)
@@ -903,5 +932,5 @@ fn print_json(flows: &[FlowTrace], analyses: &[FlowAnalysis], opts: &Options, st
         ),
         ("flows", Json::Arr(flows_json)),
     ]);
-    println!("{}", doc.pretty());
+    writeln!(out, "{}", doc.pretty())
 }

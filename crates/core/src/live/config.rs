@@ -630,5 +630,8 @@ mod tests {
         assert!(a.as_str().starts_with("d-"));
         assert_eq!(a.as_str().len(), 18);
         assert!(DaemonId::new(a.as_str()).is_ok(), "derived ids validate");
+        // Every report carries the id, so its derivation is pinned: FNV-1a
+        // over the path bytes.
+        assert_eq!(a.as_str(), "d-41dfb5169ef521d9");
     }
 }

@@ -90,7 +90,7 @@ pub use config::{
     default_shards, DaemonId, LiveConfigBuilder, LiveConfigError, MAX_BATCH, MAX_CELLS,
     MAX_DAEMON_ID, MAX_RING_DEPTH,
 };
-pub use fnv::{cell_of, FnvHasher, FnvState};
+pub use fnv::{cell_of, FnvHasher};
 pub use lru::LruList;
 pub use monitor::{FlowMonitor, LightTable, MonitorSeed, TierConfig, Verdict};
 pub use report::{class_slug, retrans_slug, IntervalReport, LiveSummary};

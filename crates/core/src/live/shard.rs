@@ -2,8 +2,8 @@
 //! the flow space.
 //!
 //! Each shard runs a [`ShardEngine`] owning every per-flow structure for
-//! the virtual cells it is responsible for: the FNV-keyed flow map, slot
-//! slab, sequence trackers, light-tier rows ([`LightTable`]), the heavy
+//! the virtual cells it is responsible for: the flow map, slot slab,
+//! sequence trackers, light-tier rows ([`LightTable`]), the heavy
 //! flows' analyzers, a lazy timer wheel, per-cell LRU lanes, and the
 //! dead-key map. *All* lifecycle decisions — admit, 4-tuple-reuse
 //! displacement, FIN/RST linger, idle eviction, LRU shedding, light↔heavy
@@ -41,11 +41,12 @@ use tcp_trace::flow::FlowKey;
 use tcp_trace::pcap::{PcapPacket, SeqTracker};
 
 use crate::fleet::sketch::QSketch;
+use crate::live::cell_of;
+use crate::live::fnv::FoldState;
 use crate::live::lru::LruList;
 use crate::live::monitor::{LightTable, TierConfig};
 use crate::live::ring::{RingConsumer, RingProducer};
 use crate::live::wheel::{TimerEntry, TimerWheel};
-use crate::live::{cell_of, FnvState};
 use crate::report::StallBreakdown;
 use crate::{AnalyzerConfig, FlowAnalysis, StreamAnalyzer};
 
@@ -325,7 +326,7 @@ pub struct ShardEngine {
     heavy_hw: Vec<u32>,
     heavy_total: usize,
 
-    map: HashMap<FlowKey, u32, FnvState>,
+    map: HashMap<FlowKey, u32, FoldState>,
     slots: Vec<Option<EngineFlow>>,
     gens: Vec<u32>,
     free: Vec<u32>,
@@ -333,7 +334,7 @@ pub struct ShardEngine {
     lru: LruList,
     wheel: TimerWheel,
     expired: Vec<TimerEntry>,
-    dead: HashMap<FlowKey, u64, FnvState>,
+    dead: HashMap<FlowKey, u64, FoldState>,
     dead_q: VecDeque<(u64, FlowKey)>,
     /// Earliest expiry in `dead_q` (`u64::MAX` when empty): the per-packet
     /// purge check is a register compare, not a deque probe.

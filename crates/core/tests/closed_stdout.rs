@@ -1,6 +1,7 @@
 //! A reader that closes `tapo`'s stdout early (`tapo live cap.pcap | head
-//! -1`) has taken all it wanted: the process must stop quietly with a
-//! success status, never panic on the broken pipe.
+//! -1`, `tapo cap.pcap --json | head -1`) has taken all it wanted: the
+//! process must stop quietly with a success status, never panic on the
+//! broken pipe.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -114,5 +115,20 @@ fn fleet_and_advise_stop_quietly_on_a_closed_stdout() {
         let _ = stdin.write_all(&reports.stdout);
         drop(stdin);
         assert_quiet_success(child, what);
+    }
+}
+
+#[test]
+fn offline_analysis_stops_quietly_on_a_closed_stdout() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("closed_stdout_offline.pcap");
+    std::fs::write(&path, capture()).expect("write capture");
+    let path = path.to_str().expect("UTF-8 temp path");
+    for extra in [&[][..], &["--json"], &["--flows", "--stalls"], &["--dump"]] {
+        let args: Vec<&str> = std::iter::once(path).chain(extra.iter().copied()).collect();
+        let mut child = tapo(&args);
+        // Close stdout before any output exists: the first write fails.
+        drop(child.stdout.take());
+        drop(child.stdin.take());
+        assert_quiet_success(child, &format!("tapo <pcap> {}", extra.join(" ")));
     }
 }

@@ -1,13 +1,14 @@
 //! Per-flow traces and multi-flow capture reassembly.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::record::{Direction, RecordSink, TraceRecord};
 use simnet::time::{SimDuration, SimTime};
 
 /// The canonical 4-tuple identifying a flow, oriented so that the *server*
 /// is the source of [`Direction::Out`] packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowKey {
     /// Server IPv4 address.
     pub server_ip: [u8; 4],
@@ -36,6 +37,18 @@ impl FlowKey {
             // ids above 0xd8f0_0000.
             client_port: 10_000u16.wrapping_add((flow_id >> 16) as u16),
         }
+    }
+}
+
+/// Two words per key: the two addresses, then the two ports. The derived
+/// impl would feed a hasher 28 bytes (a length prefix per address array),
+/// and every live packet probes a map keyed by this type.
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ips = u64::from(u32::from_le_bytes(self.server_ip)) << 32
+            | u64::from(u32::from_le_bytes(self.client_ip));
+        state.write_u64(ips);
+        state.write_u64(u64::from(self.server_port) << 16 | u64::from(self.client_port));
     }
 }
 

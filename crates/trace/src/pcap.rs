@@ -14,6 +14,7 @@
 //! 64-bit stream offsets relative to each direction's ISN.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use crate::flow::{FlowKey, FlowTable, FlowTrace};
 use crate::record::{Direction, SackBlock, SackList, SegFlags, TraceRecord, SACK_CAP};
@@ -21,6 +22,11 @@ use simnet::time::SimTime;
 
 const MAGIC_LE: u32 = 0xa1b2_c3d4;
 const MAGIC_BE: u32 = 0xd4c3_b2a1;
+/// Nanosecond-resolution pcap, as read little-endian from either byte order.
+const MAGIC_NS_LE: u32 = 0xa1b2_3c4d;
+const MAGIC_NS_BE: u32 = 0x4d3c_b2a1;
+/// A pcapng section header block's type (a palindrome: same in either order).
+const PCAPNG_SHB: u32 = 0x0a0d_0d0a;
 /// Fixed window-scale shift used by the writer (both directions).
 pub const WSCALE_SHIFT: u8 = 7;
 /// Outbound (server) initial sequence number used by the writer.
@@ -35,6 +41,8 @@ pub enum PcapError {
     Io(io::Error),
     /// Not a classic pcap file (bad magic).
     BadMagic(u32),
+    /// A capture format recognised by its magic but not decoded (named).
+    Unsupported(&'static str),
     /// Structurally invalid packet or header.
     Malformed(&'static str),
 }
@@ -44,6 +52,10 @@ impl std::fmt::Display for PcapError {
         match self {
             PcapError::Io(e) => write!(f, "pcap I/O error: {e}"),
             PcapError::BadMagic(m) => write!(f, "not a classic pcap file (magic {m:#010x})"),
+            PcapError::Unsupported(format) => write!(
+                f,
+                "{format} is not supported: only classic microsecond-resolution pcap is read"
+            ),
             PcapError::Malformed(what) => write!(f, "malformed pcap: {what}"),
         }
     }
@@ -367,7 +379,9 @@ impl PacketBatch {
 /// Input lands in one reusable *sliding* segment buffer and record headers
 /// and frames are parsed in place, yielding borrowed [`PcapView`]s
 /// ([`PcapStream::next_view`]) or copied [`PcapPacket`]s
-/// ([`PcapStream::next_packet`], [`PcapStream::fill_batch`]).
+/// ([`PcapStream::next_packet`], [`PcapStream::fill_batch`]). All of them
+/// run one decode loop, which walks every record already resident before
+/// it returns to the input.
 ///
 /// **What blocks, and where.** The reader touches its input in exactly one
 /// place, `refill`, and only when the resident bytes hold no complete
@@ -398,9 +412,16 @@ pub struct PcapStream<R: Read> {
     done: bool,
 }
 
-/// One record decoded in place: timestamp, oriented key, wire fields, and
-/// where its frame bytes sit in the segment.
-type Decoded = (SimTime, FlowKey, RawRecord, std::ops::Range<usize>);
+/// Where [`PcapStream::decode`]'s walk over the resident records stopped.
+enum Stop {
+    /// It handed over as many packets as it was asked for.
+    Full,
+    /// The record at the position needs this many bytes resident, and
+    /// fewer are.
+    Short(usize),
+    /// The record at the position claims more than [`MAX_CAPLEN`] bytes.
+    Oversize,
+}
 
 impl<R: Read> PcapStream<R> {
     /// Read and validate the 24-byte global header.
@@ -429,20 +450,14 @@ impl<R: Read> PcapStream<R> {
         s.swapped = match u32::from_le_bytes([s.seg[0], s.seg[1], s.seg[2], s.seg[3]]) {
             MAGIC_LE => false,
             MAGIC_BE => true,
+            MAGIC_NS_LE | MAGIC_NS_BE => {
+                return Err(PcapError::Unsupported("nanosecond-resolution pcap"))
+            }
+            PCAPNG_SHB => return Err(PcapError::Unsupported("pcapng")),
             other => return Err(PcapError::BadMagic(other)),
         };
         s.pos = 24;
         Ok(s)
-    }
-
-    fn rd32(&self, at: usize) -> u32 {
-        let b = &self.seg[at..at + 4];
-        let a = [b[0], b[1], b[2], b[3]];
-        if self.swapped {
-            u32::from_be_bytes(a)
-        } else {
-            u32::from_le_bytes(a)
-        }
     }
 
     /// The reader's only blocking call. Slides the partial item at `pos`
@@ -475,56 +490,88 @@ impl<R: Read> PcapStream<R> {
         }
     }
 
-    /// Decode the next TCP packet, skipping undecodable frames. With
-    /// `block` unset it never touches the input: `None` then means the
-    /// resident bytes hold no further complete record (or the stream has
-    /// ended).
-    fn advance(&mut self, block: bool) -> Result<Option<Decoded>, PcapError> {
-        while !self.done {
-            let avail = self.len - self.pos;
-            let need = if avail < 16 {
-                16
+    /// The reader's one decode loop. It walks the resident records with
+    /// the position and counters in locals and hands each decodable packet
+    /// to `emit`, with the cumulative skip count as of that packet and
+    /// where its frame sits in the segment — at most `max` packets. It
+    /// leaves the walk only to `refill` (and only while it has handed over
+    /// nothing, so a decoded packet never waits on input), for a record
+    /// above [`MAX_CAPLEN`], or at end of input. Returns the number of
+    /// packets handed over; 0 means end of stream.
+    fn decode(
+        &mut self,
+        max: usize,
+        mut emit: impl FnMut(PcapPacket, u64, Range<usize>),
+    ) -> Result<usize, PcapError> {
+        let swapped = self.swapped;
+        let rd32 = |hdr: &[u8; 16], at: usize| {
+            let v = u32::from_le_bytes([hdr[at], hdr[at + 1], hdr[at + 2], hdr[at + 3]]);
+            if swapped {
+                v.swap_bytes()
             } else {
-                let incl = self.rd32(self.pos + 8) as usize;
+                v
+            }
+        };
+        let mut n = 0;
+        while n < max && !self.done {
+            let seg = &self.seg[..self.len];
+            let mut pos = self.pos;
+            let mut packets = self.stats.packets;
+            let mut skipped = self.stats.packets_skipped;
+            let stop = loop {
+                let Some(hdr) = seg[pos..].first_chunk::<16>() else {
+                    break Stop::Short(16);
+                };
+                let incl = rd32(hdr, 8) as usize;
                 if incl > MAX_CAPLEN {
+                    break Stop::Oversize;
+                }
+                let frame = pos + 16..pos + 16 + incl;
+                let Some(bytes) = seg.get(frame.clone()) else {
+                    break Stop::Short(16 + incl);
+                };
+                pos = frame.end;
+                let Some((key, raw)) = decode_frame(bytes) else {
+                    skipped += 1;
+                    continue;
+                };
+                packets += 1;
+                let us = u64::from(rd32(hdr, 0)) * 1_000_000 + u64::from(rd32(hdr, 4));
+                let t = SimTime::from_micros(us);
+                emit(PcapPacket { t, key, raw }, skipped, frame);
+                n += 1;
+                if n == max {
+                    break Stop::Full;
+                }
+            };
+            self.pos = pos;
+            self.stats.packets = packets;
+            self.stats.packets_skipped = skipped;
+            match stop {
+                Stop::Full => {}
+                Stop::Oversize => {
                     self.stats.records_truncated += 1;
                     self.done = true;
-                    break;
                 }
-                16 + incl
-            };
-            if avail < need {
-                if block && self.refill(need)? {
-                    continue;
+                Stop::Short(need) => {
+                    if n > 0 || !self.refill(need)? {
+                        break;
+                    }
                 }
-                break;
-            }
-            let rec = self.pos;
-            self.pos += need;
-            match parse_frame(&self.seg[rec + 16..rec + need]) {
-                Some((key, raw)) => {
-                    self.stats.packets += 1;
-                    let us = self.rd32(rec) as u64 * 1_000_000 + self.rd32(rec + 4) as u64;
-                    return Ok(Some((
-                        SimTime::from_micros(us),
-                        key,
-                        raw,
-                        rec + 16..rec + need,
-                    )));
-                }
-                None => self.stats.packets_skipped += 1,
             }
         }
-        Ok(None)
+        Ok(n)
     }
 
     /// The next decodable TCP packet as a borrowed in-place view, or
     /// `None` at end of stream.
     pub fn next_view(&mut self) -> Result<Option<PcapView<'_>>, PcapError> {
-        Ok(self.advance(true)?.map(|(t, key, raw, frame)| PcapView {
-            t,
-            key,
-            raw,
+        let mut got = None;
+        self.decode(1, |pkt, _, frame| got = Some((pkt, frame)))?;
+        Ok(got.map(|(pkt, frame)| PcapView {
+            t: pkt.t,
+            key: pkt.key,
+            raw: pkt.raw,
             frame: &self.seg[frame],
         }))
     }
@@ -542,14 +589,10 @@ impl<R: Read> PcapStream<R> {
     /// obtained; 0 means end of stream.
     pub fn fill_batch(&mut self, out: &mut PacketBatch, max: usize) -> Result<usize, PcapError> {
         out.clear();
-        while out.pkts.len() < max {
-            let Some((t, key, raw, _)) = self.advance(out.pkts.is_empty())? else {
-                break;
-            };
-            out.pkts.push(PcapPacket { t, key, raw });
-            out.skipped.push(self.stats.packets_skipped);
-        }
-        Ok(out.pkts.len())
+        self.decode(max, |pkt, skipped, _| {
+            out.pkts.push(pkt);
+            out.skipped.push(skipped);
+        })
     }
 
     /// Counters so far (final once `next_packet` returned `None`).
@@ -637,7 +680,7 @@ impl PcapReader {
 
 /// A parsed frame before ISN-relative sequence translation: raw 32-bit wire
 /// sequence space, SACK blocks still in the peer's wire numbering.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawRecord {
     /// Direction relative to the server.
     pub dir: Direction,
@@ -693,42 +736,43 @@ impl RawRecord {
     }
 }
 
-fn parse_frame(frame: &[u8]) -> Option<(FlowKey, RawRecord)> {
-    if frame.len() < 14 + 20 + 20 {
+/// Decode one captured frame: an Ethernet II / IPv4 / TCP packet becomes
+/// its oriented flow key and wire fields; anything else is `None` (the
+/// reader skips and counts it). The fixed headers are read through
+/// fixed-size views, so only the variable parts — where the TCP header
+/// starts after IP options, and the TCP options — are bounds-checked.
+/// IP options are skipped, not validated, and an `ihl` below 5 is not
+/// rejected: the TCP header is read where the `ihl` puts it.
+fn decode_frame(frame: &[u8]) -> Option<(FlowKey, RawRecord)> {
+    // Ethernet (14) + fixed IPv4 header (20) + fixed TCP header (20).
+    let head = frame.first_chunk::<54>()?;
+    if head[12..14] != [0x08, 0x00] || head[14] >> 4 != 4 || head[23] != 6 {
         return None;
     }
-    let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
-    if ethertype != 0x0800 {
+    let ihl = usize::from(head[14] & 0xf) * 4;
+    let tcp = frame.get(14 + ihl..)?;
+    let th = tcp.first_chunk::<20>()?;
+    let data_off = usize::from(th[12] >> 4) * 4;
+    if data_off < 20 {
         return None;
     }
-    let ip = &frame[14..];
-    if ip[0] >> 4 != 4 {
-        return None;
-    }
-    let ihl = ((ip[0] & 0xf) as usize) * 4;
-    if ip[9] != 6 || ip.len() < ihl + 20 {
-        return None;
-    }
-    let total_len = u16::from_be_bytes([ip[2], ip[3]]) as usize;
-    let src_ip = [ip[12], ip[13], ip[14], ip[15]];
-    let dst_ip = [ip[16], ip[17], ip[18], ip[19]];
-    let tcp = &ip[ihl..];
-    let src_port = u16::from_be_bytes([tcp[0], tcp[1]]);
-    let dst_port = u16::from_be_bytes([tcp[2], tcp[3]]);
-    let seq32 = u32::from_be_bytes([tcp[4], tcp[5], tcp[6], tcp[7]]);
-    let ack32 = u32::from_be_bytes([tcp[8], tcp[9], tcp[10], tcp[11]]);
-    let data_off = ((tcp[12] >> 4) as usize) * 4;
-    if data_off < 20 || tcp.len() < data_off {
-        return None;
-    }
-    let fl = tcp[13];
+    let opts = tcp.get(20..data_off)?;
+
+    let total_len = usize::from(u16::from_be_bytes([head[16], head[17]]));
+    let src_ip = [head[26], head[27], head[28], head[29]];
+    let dst_ip = [head[30], head[31], head[32], head[33]];
+    let src_port = u16::from_be_bytes([th[0], th[1]]);
+    let dst_port = u16::from_be_bytes([th[2], th[3]]);
+    let seq32 = u32::from_be_bytes([th[4], th[5], th[6], th[7]]);
+    let ack32 = u32::from_be_bytes([th[8], th[9], th[10], th[11]]);
+    let fl = th[13];
     let flags = SegFlags {
         fin: fl & 0x01 != 0,
         syn: fl & 0x02 != 0,
         rst: fl & 0x04 != 0,
         ack: fl & 0x10 != 0,
     };
-    let wnd16 = u16::from_be_bytes([tcp[14], tcp[15]]);
+    let wnd16 = u16::from_be_bytes([th[14], th[15]]);
     let payload_len = total_len.saturating_sub(ihl + data_off) as u32;
 
     // Orient: the destination of a bare SYN is the server; otherwise the
@@ -745,40 +789,30 @@ fn parse_frame(frame: &[u8]) -> Option<(FlowKey, RawRecord)> {
 
     let mut raw = RawRecord::new(dir, seq32, ack32, flags, wnd16, payload_len);
 
-    // Parse options for SACK blocks.
-    let opts = &tcp[20..data_off.min(tcp.len())];
+    // Options: keep the SACK blocks, step over the rest; stop at the end
+    // of the list or at the first option whose length does not fit.
     let mut i = 0;
-    while i < opts.len() {
-        match opts[i] {
+    while let Some(&kind) = opts.get(i) {
+        match kind {
             0 => break,
             1 => i += 1,
-            5 => {
-                if i + 1 >= opts.len() {
-                    break;
-                }
-                let l = opts[i + 1] as usize;
-                if l < 2 || i + l > opts.len() {
-                    break;
-                }
-                let mut j = i + 2;
-                while j + 8 <= i + l {
-                    let s = u32::from_be_bytes([opts[j], opts[j + 1], opts[j + 2], opts[j + 3]]);
-                    let e =
-                        u32::from_be_bytes([opts[j + 4], opts[j + 5], opts[j + 6], opts[j + 7]]);
-                    raw.push_sack32(s, e);
-                    j += 8;
-                }
-                i += l;
-            }
             _ => {
-                if i + 1 >= opts.len() {
+                let Some(&len) = opts.get(i + 1) else { break };
+                let len = usize::from(len);
+                if len < 2 {
                     break;
                 }
-                let l = opts[i + 1] as usize;
-                if l < 2 {
-                    break;
+                if kind == 5 {
+                    let Some(blocks) = opts.get(i + 2..i + len) else {
+                        break;
+                    };
+                    for b in blocks.chunks_exact(8) {
+                        let s = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+                        let e = u32::from_be_bytes([b[4], b[5], b[6], b[7]]);
+                        raw.push_sack32(s, e);
+                    }
                 }
-                i += l;
+                i += len;
             }
         }
     }
@@ -794,18 +828,23 @@ fn parse_frame(frame: &[u8]) -> Option<(FlowKey, RawRecord)> {
     ))
 }
 
-/// Unwrap a 32-bit offset to the 64-bit value closest to `near`.
+/// Unwrap a 32-bit offset to the 64-bit value closest to `near`: the
+/// value with `near`'s upper half, or one 2^32 window above or below it,
+/// whichever is nearest. A tie (distance exactly 2^31) keeps `near`'s
+/// window, and a neighbouring window that would leave the 64-bit range
+/// is never chosen.
 fn unwrap32(off32: u32, near: u64) -> u64 {
-    let base = near & !0xffff_ffffu64;
-    let candidates = [
-        base.wrapping_add(off32 as u64),
-        base.wrapping_add(off32 as u64).wrapping_add(1 << 32),
-        base.wrapping_add(off32 as u64).wrapping_sub(1 << 32),
-    ];
-    candidates
-        .into_iter()
-        .min_by_key(|c| c.abs_diff(near))
-        .expect("non-empty candidates")
+    let same = (near & !0xffff_ffff) | u64::from(off32);
+    // `same - near`, within (-2^32, 2^32).
+    let d = i64::from(off32) - i64::from(near as u32);
+    let other = if d < -(1 << 31) {
+        same.checked_add(1 << 32)
+    } else if d > 1 << 31 {
+        same.checked_sub(1 << 32)
+    } else {
+        None
+    };
+    other.unwrap_or(same)
 }
 
 fn finish_record(st: &mut FlowState, t: SimTime, raw: &RawRecord) -> Option<TraceRecord> {
@@ -1037,6 +1076,41 @@ mod tests {
         ));
     }
 
+    /// Nanosecond pcap and pcapng are named, not called garbage.
+    fn header_error(magic_bytes: [u8; 4]) -> String {
+        let mut file = magic_bytes.to_vec();
+        file.resize(32, 0);
+        match PcapStream::new(&file[..]) {
+            Err(e @ PcapError::Unsupported(_)) => e.to_string(),
+            Err(e) => panic!("magic {magic_bytes:02x?}: wrong error {e}"),
+            Ok(_) => panic!("magic {magic_bytes:02x?} accepted"),
+        }
+    }
+
+    #[test]
+    fn nanosecond_pcap_little_endian_is_named() {
+        let msg = header_error([0x4d, 0x3c, 0xb2, 0xa1]);
+        assert!(
+            msg.contains("nanosecond-resolution pcap is not supported"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn nanosecond_pcap_big_endian_is_named() {
+        let msg = header_error([0xa1, 0xb2, 0x3c, 0x4d]);
+        assert!(
+            msg.contains("nanosecond-resolution pcap is not supported"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn pcapng_is_named() {
+        let msg = header_error([0x0a, 0x0d, 0x0d, 0x0a]);
+        assert!(msg.contains("pcapng is not supported"), "{msg}");
+    }
+
     #[test]
     fn unwrap32_handles_wraparound() {
         assert_eq!(unwrap32(5, 0), 5);
@@ -1047,6 +1121,67 @@ mod tests {
         // and a large off32 near a just-wrapped anchor resolves backwards.
         let near2 = 0x1_0000_0010u64;
         assert_eq!(unwrap32(0xffff_fff0, near2), 0xffff_fff0);
+    }
+
+    /// Reference for [`unwrap32`]: build the three candidate windows and
+    /// take the nearest, the first of equals (`min_by_key`'s rule), with
+    /// wrapping arithmetic so an out-of-range neighbour is far away.
+    fn unwrap32_reference(off32: u32, near: u64) -> u64 {
+        let base = near & !0xffff_ffffu64;
+        let candidates = [
+            base.wrapping_add(off32 as u64),
+            base.wrapping_add(off32 as u64).wrapping_add(1 << 32),
+            base.wrapping_add(off32 as u64).wrapping_sub(1 << 32),
+        ];
+        candidates
+            .into_iter()
+            .min_by_key(|c| c.abs_diff(near))
+            .expect("non-empty candidates")
+    }
+
+    #[test]
+    fn unwrap32_equals_the_three_candidate_reference() {
+        let top = !0xffff_ffffu64;
+        let mut nears = vec![0, 1, u64::MAX, top, top + 1, top - 1];
+        for w in [0u64, 1 << 32, 5 << 32, top] {
+            for lo in [0u64, 1, (1 << 31) - 1, 1 << 31, (1 << 31) + 1, 0xffff_ffff] {
+                nears.push(w | lo);
+            }
+        }
+        nears.extend([(1 << 32) - 1, 1 << 32, (1 << 32) + 1]);
+        let mut offs = vec![0u32, 1, (1 << 31) - 1, 1 << 31, (1 << 31) + 1, u32::MAX];
+        for &near in &nears {
+            // Offsets exactly 2^31 away (the ties) and one either side.
+            let lo = near as u32;
+            for d in [0u32, 1, (1 << 31) - 1, 1 << 31, (1 << 31) + 1] {
+                offs.push(lo.wrapping_add(d));
+                offs.push(lo.wrapping_sub(d));
+            }
+        }
+        for &near in &nears {
+            for &off in &offs {
+                assert_eq!(
+                    unwrap32(off, near),
+                    unwrap32_reference(off, near),
+                    "off {off:#x} near {near:#x}"
+                );
+            }
+        }
+        let mut rng = simnet::rng::SimRng::seed(0x0032_fade);
+        for i in 0..200_000u32 {
+            let off = rng.next_u64() as u32;
+            // Mostly anchors a real flow has (low windows), some anywhere.
+            let near = match i % 4 {
+                0 => rng.next_u64(),
+                1 => rng.next_u64() >> 28,
+                _ => rng.next_u64() >> 20,
+            };
+            assert_eq!(
+                unwrap32(off, near),
+                unwrap32_reference(off, near),
+                "off {off:#x} near {near:#x}"
+            );
+        }
     }
 
     #[test]
@@ -1522,6 +1657,227 @@ mod tests {
                 assert!(s.seg.len() <= 16 + MAX_CAPLEN.max(SEGMENT_LEN));
             }
         }
+    }
+
+    /// Reference for [`decode_frame`]: the same decode written with a
+    /// bounds-checked index per byte.
+    fn parse_frame(frame: &[u8]) -> Option<(FlowKey, RawRecord)> {
+        if frame.len() < 14 + 20 + 20 {
+            return None;
+        }
+        let ethertype = u16::from_be_bytes([frame[12], frame[13]]);
+        if ethertype != 0x0800 {
+            return None;
+        }
+        let ip = &frame[14..];
+        if ip[0] >> 4 != 4 {
+            return None;
+        }
+        let ihl = ((ip[0] & 0xf) as usize) * 4;
+        if ip[9] != 6 || ip.len() < ihl + 20 {
+            return None;
+        }
+        let total_len = u16::from_be_bytes([ip[2], ip[3]]) as usize;
+        let src_ip = [ip[12], ip[13], ip[14], ip[15]];
+        let dst_ip = [ip[16], ip[17], ip[18], ip[19]];
+        let tcp = &ip[ihl..];
+        let src_port = u16::from_be_bytes([tcp[0], tcp[1]]);
+        let dst_port = u16::from_be_bytes([tcp[2], tcp[3]]);
+        let seq32 = u32::from_be_bytes([tcp[4], tcp[5], tcp[6], tcp[7]]);
+        let ack32 = u32::from_be_bytes([tcp[8], tcp[9], tcp[10], tcp[11]]);
+        let data_off = ((tcp[12] >> 4) as usize) * 4;
+        if data_off < 20 || tcp.len() < data_off {
+            return None;
+        }
+        let fl = tcp[13];
+        let flags = SegFlags {
+            fin: fl & 0x01 != 0,
+            syn: fl & 0x02 != 0,
+            rst: fl & 0x04 != 0,
+            ack: fl & 0x10 != 0,
+        };
+        let wnd16 = u16::from_be_bytes([tcp[14], tcp[15]]);
+        let payload_len = total_len.saturating_sub(ihl + data_off) as u32;
+
+        let (server_ip, server_port, client_ip, client_port, dir) = if flags.syn && !flags.ack {
+            (dst_ip, dst_port, src_ip, src_port, Direction::In)
+        } else if (flags.syn && flags.ack) || src_port <= dst_port {
+            (src_ip, src_port, dst_ip, dst_port, Direction::Out)
+        } else {
+            (dst_ip, dst_port, src_ip, src_port, Direction::In)
+        };
+
+        let mut raw = RawRecord::new(dir, seq32, ack32, flags, wnd16, payload_len);
+
+        let opts = &tcp[20..data_off.min(tcp.len())];
+        let mut i = 0;
+        while i < opts.len() {
+            match opts[i] {
+                0 => break,
+                1 => i += 1,
+                5 => {
+                    if i + 1 >= opts.len() {
+                        break;
+                    }
+                    let l = opts[i + 1] as usize;
+                    if l < 2 || i + l > opts.len() {
+                        break;
+                    }
+                    let mut j = i + 2;
+                    while j + 8 <= i + l {
+                        let s =
+                            u32::from_be_bytes([opts[j], opts[j + 1], opts[j + 2], opts[j + 3]]);
+                        let e = u32::from_be_bytes([
+                            opts[j + 4],
+                            opts[j + 5],
+                            opts[j + 6],
+                            opts[j + 7],
+                        ]);
+                        raw.push_sack32(s, e);
+                        j += 8;
+                    }
+                    i += l;
+                }
+                _ => {
+                    if i + 1 >= opts.len() {
+                        break;
+                    }
+                    let l = opts[i + 1] as usize;
+                    if l < 2 {
+                        break;
+                    }
+                    i += l;
+                }
+            }
+        }
+
+        Some((
+            FlowKey {
+                server_ip,
+                server_port,
+                client_ip,
+                client_port,
+            },
+            raw,
+        ))
+    }
+
+    /// Frames the mutation test starts from: the writer's handshake, data,
+    /// SACK/DSACK ACKs and FIN, plus a frame with IP options and one with
+    /// a timestamp option ahead of its SACK blocks.
+    fn seed_frames() -> Vec<Vec<u8>> {
+        let key = FlowKey::synthetic(77);
+        let mut frames: Vec<Vec<u8>> = syn_exchange(key)
+            .iter()
+            .map(|r| encode_frame(&key, r).captured)
+            .collect();
+        let four = TraceRecord {
+            sack: [
+                SackBlock::new(0, 10),
+                SackBlock::new(20, 30),
+                SackBlock::new(40, 50),
+                SackBlock::new(60, 70),
+            ]
+            .into(),
+            ..TraceRecord::pure_ack(SimTime::ZERO, Direction::In, 5, 1 << 16)
+        };
+        frames.push(encode_frame(&key, &four).captured);
+        let mut fin = TraceRecord::data(SimTime::ZERO, Direction::Out, 9, 0, 3, 1 << 16);
+        fin.flags.fin = true;
+        frames.push(encode_frame(&key, &fin).captured);
+        // Router-alert IP option: ihl 6.
+        let mut ipopt = frames[4].clone();
+        ipopt.splice(34..34, [0x94, 0x04, 0x00, 0x00]);
+        ipopt[14] = 0x46;
+        frames.push(ipopt);
+        // Timestamps (kind 8) then the SACK option: data offset 11 words.
+        let mut ts = frames[6].clone();
+        let opts_at = 14 + 20 + 20;
+        ts.splice(opts_at..opts_at, [8, 10, 1, 2, 3, 4, 5, 6, 7, 8, 1, 1]);
+        ts[14 + 20 + 12] += 3 << 4;
+        frames.push(ts);
+        frames
+    }
+
+    #[test]
+    fn decode_frame_equals_the_reference_on_mutated_frames() {
+        let seeds = seed_frames();
+        let mut rng = simnet::rng::SimRng::seed(0xdec0_de54);
+        let mut below = |n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
+        let (mut decoded, mut with_sack, mut skipped) = (0, 0, 0);
+        for _ in 0..120_000 {
+            let mut f = seeds[below(seeds.len())].clone();
+            for _ in 0..1 + below(3) {
+                let len = f.len();
+                match below(8) {
+                    0 | 1 => {
+                        // Any byte of the headers, to anything.
+                        let at = below(len.min(90));
+                        if at < len {
+                            f[at] = below(256) as u8;
+                        }
+                    }
+                    2 => f.truncate(below(len + 1)),
+                    3 => f.extend((0..1 + below(20)).map(|_| below(256) as u8)),
+                    4 => {
+                        // IHL / version nibbles.
+                        if len > 14 {
+                            f[14] = (f[14] & 0xf0) | below(16) as u8;
+                        }
+                        if below(8) == 0 && len > 14 {
+                            f[14] = (below(16) as u8) << 4 | (f[14] & 0x0f);
+                        }
+                    }
+                    5 => {
+                        // Data offset of wherever the TCP header now starts.
+                        let at = 14 + usize::from(f.get(14).map_or(5, |b| b & 0xf)) * 4 + 12;
+                        if at < len {
+                            f[at] = (below(16) as u8) << 4 | (f[at] & 0x0f);
+                        }
+                    }
+                    6 => {
+                        // An option kind or length inside the option area.
+                        if len > 54 {
+                            let at = 54 + below(len - 54);
+                            f[at] = [0, 1, 2, 5, 8, below(256) as u8][below(6)];
+                        }
+                    }
+                    _ => {
+                        // Ethertype / protocol set to the decodable values.
+                        if len > 23 {
+                            f[12] = 0x08;
+                            f[13] = 0x00;
+                            f[23] = 6;
+                        }
+                    }
+                }
+            }
+            let got = decode_frame(&f);
+            assert_eq!(got, parse_frame(&f), "frame {f:02x?}");
+            match got {
+                Some((_, raw)) => {
+                    decoded += 1;
+                    with_sack += usize::from(!raw.sack32().is_empty());
+                }
+                None => skipped += 1,
+            }
+        }
+        assert!(decoded > 20_000 && with_sack > 5_000 && skipped > 20_000);
+        assert!(decoded + skipped == 120_000);
+
+        // Every prefix of a four-block SACK frame, and of the frames with
+        // IP and TCP options.
+        for f in &seeds[seeds.len() - 4..] {
+            for len in 0..=f.len() {
+                assert_eq!(
+                    decode_frame(&f[..len]),
+                    parse_frame(&f[..len]),
+                    "prefix {len}"
+                );
+            }
+        }
+        let four = &seeds[seeds.len() - 4];
+        assert_eq!(decode_frame(four).unwrap().1.sack32().len(), 4);
     }
 
     #[test]

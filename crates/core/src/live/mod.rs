@@ -33,7 +33,7 @@
 //! Each shard runs a [`ShardEngine`] owning *everything* for its cells:
 //! flow map, sequence trackers ([`tcp_trace::pcap::SeqTracker`]), light
 //! tier ([`LightTable`]), heavy analyzers ([`crate::StreamAnalyzer`]),
-//! lazy timer wheel ([`TimerWheel`]), per-cell LRU lanes ([`LruList`]),
+//! lazy timer heap ([`TimerHeap`]), per-cell LRU lanes ([`LruList`]),
 //! and dead-key map. All lifecycle decisions — admission, 4-tuple reuse
 //! (a bare SYN on a closed flow finalizes the old generation and opens a
 //! fresh one, matching the offline [`tcp_trace::flow::FlowTable`]),
@@ -98,7 +98,7 @@ pub use shard::{
     merge_by_port, shard_worker, EngineParams, EngineTotals, IntervalDelta, PortDelta, ShardEngine,
     ShardMsg, Work,
 };
-pub use wheel::{TimerEntry, TimerWheel};
+pub use wheel::{TimerEntry, TimerHeap};
 
 use std::io::Read;
 use std::sync::mpsc;
@@ -844,8 +844,8 @@ mod tests {
     #[test]
     fn epoch_timestamped_capture_runs_quickly() {
         // Real tcpdump output carries wall-clock epoch timestamps; the
-        // pipeline (and in particular the timer wheel, whose base starts
-        // at 0) must not degrade on the jump to ~1.75e15 us.
+        // pipeline (and in particular the timers, whose clock starts at
+        // 0) must not degrade on the jump to ~1.75e15 us.
         let epoch_ms = 1_754_000_000_000u64;
         let traces: Vec<FlowTrace> = (0..5)
             .map(|i| flow_trace(FlowKey::synthetic(i), epoch_ms + (i as u64) * 700))

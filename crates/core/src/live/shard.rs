@@ -4,7 +4,7 @@
 //! Each shard runs a [`ShardEngine`] owning every per-flow structure for
 //! the virtual cells it is responsible for: the flow map, slot slab,
 //! sequence trackers, light-tier rows ([`LightTable`]), the heavy
-//! flows' analyzers, a lazy timer wheel, per-cell LRU lanes, and the
+//! flows' analyzers, a lazy timer heap, per-cell LRU lanes, and the
 //! dead-key map. *All* lifecycle decisions — admit, 4-tuple-reuse
 //! displacement, FIN/RST linger, idle eviction, LRU shedding, light↔heavy
 //! promotion/demotion — are made locally by the owning engine; the driver
@@ -20,7 +20,7 @@
 //!   quotas ([`cell_quota`]) that sum exactly to the cap — no runtime
 //!   coordination, identical admission at any shard count;
 //! * timer evictions are attributed to intervals identically because an
-//!   engine advances its wheel at each of its own packets *and* at each
+//!   engine advances its timers at each of its own packets *and* at each
 //!   [`Work::Cut`] barrier, and dead-key expiries derive from the flow's
 //!   deterministic deadline, never from when a timer happened to fire;
 //! * every [`IntervalDelta`] field is a commutative integer merge, and
@@ -46,7 +46,7 @@ use crate::live::fnv::FoldState;
 use crate::live::lru::LruList;
 use crate::live::monitor::{LightTable, TierConfig};
 use crate::live::ring::{RingConsumer, RingProducer};
-use crate::live::wheel::{TimerEntry, TimerWheel};
+use crate::live::wheel::{TimerEntry, TimerHeap};
 use crate::report::StallBreakdown;
 use crate::{AnalyzerConfig, FlowAnalysis, StreamAnalyzer};
 
@@ -296,8 +296,8 @@ struct EngineFlow {
     heavy: Option<Box<StreamAnalyzer>>,
     /// Authoritative eviction deadline; `u64::MAX` = none.
     deadline_us: u64,
-    /// Earliest outstanding wheel entry (lazy-timer bookkeeping).
-    wheel_deadline_us: u64,
+    /// Earliest outstanding timer entry (lazy-timer bookkeeping).
+    timer_deadline_us: u64,
 }
 
 /// One shard's complete live front end. The driver owns one inline when
@@ -332,7 +332,7 @@ pub struct ShardEngine {
     free: Vec<u32>,
     light: LightTable,
     lru: LruList,
-    wheel: TimerWheel,
+    timers: TimerHeap,
     expired: Vec<TimerEntry>,
     dead: HashMap<FlowKey, u64, FoldState>,
     dead_q: VecDeque<(u64, FlowKey)>,
@@ -384,7 +384,7 @@ impl ShardEngine {
             free: Vec::new(),
             light: LightTable::new(p.analyzer.replay),
             lru: LruList::new(nlanes),
-            wheel: TimerWheel::with_default_geometry(),
+            timers: TimerHeap::default(),
             expired: Vec::new(),
             dead: HashMap::default(),
             dead_q: VecDeque::new(),
@@ -435,15 +435,15 @@ impl ShardEngine {
         }
     }
 
-    /// Set the slot's deadline, scheduling a wheel entry if it moved
+    /// Set the slot's deadline, scheduling a timer entry if it moved
     /// earlier than the earliest outstanding one (lazy timers: pushes to a
     /// *later* deadline are resolved when the stale entry fires).
     fn arm(&mut self, slot: u32, deadline_us: u64) {
         let flow = self.slots[slot as usize].as_mut().expect("occupied");
         flow.deadline_us = deadline_us;
-        if deadline_us != u64::MAX && deadline_us < flow.wheel_deadline_us {
-            flow.wheel_deadline_us = deadline_us;
-            self.wheel
+        if deadline_us != u64::MAX && deadline_us < flow.timer_deadline_us {
+            flow.timer_deadline_us = deadline_us;
+            self.timers
                 .schedule((deadline_us, slot, self.gens[slot as usize]));
         }
     }
@@ -498,7 +498,7 @@ impl ShardEngine {
             closed: false,
             heavy: None,
             deadline_us: u64::MAX,
-            wheel_deadline_us: u64::MAX,
+            timer_deadline_us: u64::MAX,
         });
         self.map.insert(pkt.key, slot);
         self.lru.push_back(lane, slot);
@@ -657,25 +657,25 @@ impl ShardEngine {
     }
 
     fn run_timers(&mut self, now_us: u64) {
-        if !self.timers_enabled() || self.wheel.is_empty() {
+        if !self.timers_enabled() || self.timers.is_empty() {
             return;
         }
         let mut expired = std::mem::take(&mut self.expired);
-        self.wheel.advance_into(now_us, &mut expired);
+        self.timers.advance_into(now_us, &mut expired);
         for (entry_deadline, slot, gen) in expired.drain(..) {
             let Some(flow) = self.slots[slot as usize].as_mut() else {
                 continue; // slot freed since scheduling
             };
-            if self.gens[slot as usize] != gen || flow.wheel_deadline_us != entry_deadline {
+            if self.gens[slot as usize] != gen || flow.timer_deadline_us != entry_deadline {
                 continue; // a different generation, or a superseded entry
             }
-            flow.wheel_deadline_us = u64::MAX;
+            flow.timer_deadline_us = u64::MAX;
             if flow.deadline_us > now_us {
                 // Activity pushed the true deadline out; re-arm lazily.
                 let d = flow.deadline_us;
                 if d != u64::MAX {
-                    flow.wheel_deadline_us = d;
-                    self.wheel.schedule((d, slot, gen));
+                    flow.timer_deadline_us = d;
+                    self.timers.schedule((d, slot, gen));
                 }
             } else {
                 let reason = if flow.closed {

@@ -5,11 +5,14 @@
 //! `snd_una`/`snd_nxt`, retransmission counts, spurious retransmissions,
 //! `rwnd`/`init_rwnd`, file position — is re-derived here by *mimicking the
 //! TCP stack* against the observed packets, exactly as the paper's tool
-//! does. The estimator deliberately lives in this crate (not `tcp-sim`) so
-//! the analyzer stays an independent observer that also works on real pcap
-//! captures.
+//! does. The reconstruction deliberately lives in this crate (not
+//! `tcp-sim`) so the analyzer stays an independent observer that also works
+//! on real pcap captures; it shares only the RFC 6298 arithmetic
+//! ([`RttEstimator`]), fed with RTT samples it measures itself and the RTO
+//! bounds of its own [`ReplayConfig`].
 
 use simnet::time::{SimDuration, SimTime};
+use tcp_sim::rtt::{RttConfig, RttEstimator};
 use tcp_trace::record::{Direction, TraceRecord};
 
 /// Estimated congestion state (mirrors the kernel's four states).
@@ -52,46 +55,14 @@ impl Default for ReplayConfig {
     }
 }
 
-/// RFC 6298 estimator (the analyzer's independent copy).
-#[derive(Debug, Clone)]
-struct MiniRtt {
-    cfg: ReplayConfig,
-    srtt: Option<SimDuration>,
-    rttvar: SimDuration,
-}
-
-impl MiniRtt {
-    fn new(cfg: ReplayConfig) -> Self {
-        MiniRtt {
-            cfg,
-            srtt: None,
-            rttvar: SimDuration::ZERO,
+impl ReplayConfig {
+    /// The RTO bounds as the RFC 6298 estimator's configuration.
+    fn rtt(&self) -> RttConfig {
+        RttConfig {
+            min_rto: self.min_rto,
+            max_rto: self.max_rto,
+            initial_rto: self.initial_rto,
         }
-    }
-    fn observe(&mut self, rtt: SimDuration) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(rtt);
-                self.rttvar = rtt / 2;
-            }
-            Some(srtt) => {
-                let err = if srtt > rtt { srtt - rtt } else { rtt - srtt };
-                self.rttvar = (self.rttvar * 3) / 4 + err / 4;
-                self.srtt = Some((srtt * 7) / 8 + rtt / 8);
-            }
-        }
-    }
-    fn rto(&self) -> SimDuration {
-        // Linux `__tcp_set_rto` semantics, mirroring the sender-side
-        // estimator: the floor applies to the 4·RTTVAR term, not the sum.
-        match self.srtt {
-            None => self.cfg.initial_rto,
-            Some(s) => (s + (self.rttvar * 4).max(self.cfg.min_rto)).min(self.cfg.max_rto),
-        }
-    }
-    fn seed(&mut self, srtt: SimDuration, rttvar: SimDuration) {
-        self.srtt = Some(srtt);
-        self.rttvar = rttvar;
     }
 }
 
@@ -368,7 +339,7 @@ pub struct Replay {
     dupacks: u32,
     ca_state: EstCaState,
     high_seq: u64,
-    rtt: MiniRtt,
+    rtt: RttEstimator,
     last_rwnd: u64,
     /// Initial receive window from the client's SYN, if captured.
     pub init_rwnd: Option<u64>,
@@ -409,7 +380,7 @@ impl Replay {
             dupacks: 0,
             ca_state: EstCaState::Open,
             high_seq: 0,
-            rtt: MiniRtt::new(cfg),
+            rtt: RttEstimator::new(cfg.rtt()),
             last_rwnd: 0,
             init_rwnd: None,
             established: false,
@@ -442,7 +413,7 @@ impl Replay {
         self.dupacks = 0;
         self.ca_state = EstCaState::Open;
         self.high_seq = 0;
-        self.rtt = MiniRtt::new(cfg);
+        self.rtt = RttEstimator::new(cfg.rtt());
         self.last_rwnd = 0;
         self.init_rwnd = None;
         self.established = false;
@@ -500,7 +471,7 @@ impl Replay {
 
     /// Smoothed RTT estimate, if any sample exists.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt
+        self.rtt.srtt()
     }
 
     /// Current RTO estimate.
@@ -511,7 +482,7 @@ impl Replay {
     /// The stall threshold `min(τ·SRTT, RTO)` with τ = 2 (the paper's
     /// definition); just the RTO before the first sample.
     pub fn stall_threshold(&self) -> SimDuration {
-        match self.rtt.srtt {
+        match self.rtt.srtt() {
             Some(s) => s.saturating_mul(2).min(self.rtt.rto()),
             None => self.rtt.rto(),
         }

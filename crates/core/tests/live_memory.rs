@@ -165,7 +165,7 @@ fn heavy_memory_falls_back_once_long_flows_end() {
         "peak {peak} bytes"
     );
     // What stays is the engine's fixed cost (the reader's segment buffer,
-    // the timer wheel, the dead-key map) plus one short flow.
+    // the timer heap, the dead-key map) plus one short flow.
     assert!(
         late_max * 4 <= peak,
         "late heap {late_max} bytes is more than a quarter of the early peak {peak} bytes"

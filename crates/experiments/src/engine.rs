@@ -17,7 +17,7 @@
 //! - Per-flow results are returned in index order, and cross-flow
 //!   aggregation ([`StallBreakdown`]) is a serial fold over that order.
 //!
-//! Each worker carries a private [`WorkerScratch`] — the event-queue slab,
+//! Each worker carries a private [`WorkerScratch`] — the event queue,
 //! segment buffers and replay arenas — recycled from flow to flow, so steady
 //! state allocates per *worker*, not per *flow*. Every scratch entry point
 //! fully rewinds its state before reuse, so a recycled worker's results are
@@ -40,7 +40,7 @@ use workloads::{
 };
 
 /// Per-worker recycled arenas for the fused sample→simulate→analyze
-/// pipeline: one simulator scratch (event slab, segment and boundary
+/// pipeline: one simulator scratch (event queue, segment and boundary
 /// buffers) plus one streaming analyzer (replay state, candidate buffers).
 /// A worker threads one of these through every flow it claims.
 #[derive(Debug)]

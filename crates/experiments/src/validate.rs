@@ -364,6 +364,26 @@ pub mod floors {
     /// all (observed 243 quick).
     pub const MIN_STALLS: u64 = 100;
 
+    // Per-subclass recall floors (Table 5), one for each subclass with at
+    // least 5 truth stalls at quick scale, each at the observed value
+    // minus 0.05. Small rwnd (3 truth stalls) has none.
+
+    /// Minimum recall of double-retransmission stalls (observed 1.000
+    /// quick, 17 truth stalls).
+    pub const DOUBLE_RETRANS_RECALL: f64 = 0.95;
+    /// Minimum recall of tail-retransmission stalls (observed 0.100 quick,
+    /// 10 truth stalls): a collapse guard on the weakest cell.
+    pub const TAIL_RETRANS_RECALL: f64 = 0.05;
+    /// Minimum recall of small-cwnd stalls (observed 0.786 quick, 14 truth
+    /// stalls).
+    pub const SMALL_CWND_RECALL: f64 = 0.736;
+    /// Minimum recall of continuous-loss stalls (observed 0.613 quick, 31
+    /// truth stalls).
+    pub const CONTINUOUS_LOSS_RECALL: f64 = 0.563;
+    /// Minimum recall of ACK-delay/loss stalls (observed 0.857 quick, 7
+    /// truth stalls).
+    pub const ACK_DELAY_LOSS_RECALL: f64 = 0.807;
+
     /// Minimum stall-class accuracy on T-RACKs-recovery traffic — the
     /// classifier must not be blind to the stalls a T-RACKs sender still
     /// produces (observed 0.928 quick).
@@ -423,8 +443,8 @@ pub fn floor_violations(r: &ValidationReport) -> Vec<String> {
     let mut v = Vec::new();
     let mut need = |name: &str, got: Option<f64>, floor: f64| match got {
         Some(x) if x >= floor => {}
-        Some(x) => v.push(format!("{name}: {x:.3} < floor {floor:.2}")),
-        None => v.push(format!("{name}: unscored (no samples) < floor {floor:.2}")),
+        Some(x) => v.push(format!("{name}: {x:.3} < floor {floor:.3}")),
+        None => v.push(format!("{name}: unscored (no samples) < floor {floor:.3}")),
     };
     need(
         "stall-class accuracy",
@@ -456,6 +476,19 @@ pub fn floor_violations(r: &ValidationReport) -> Vec<String> {
         r.stall_matrix.recall(StallClass::DataUnavailable.index()),
         floors::DATA_UNAVAILABLE_RECALL,
     );
+    for (class, floor) in [
+        (RetransClass::DoubleRetrans, floors::DOUBLE_RETRANS_RECALL),
+        (RetransClass::TailRetrans, floors::TAIL_RETRANS_RECALL),
+        (RetransClass::SmallCwnd, floors::SMALL_CWND_RECALL),
+        (RetransClass::ContinuousLoss, floors::CONTINUOUS_LOSS_RECALL),
+        (RetransClass::AckDelayLoss, floors::ACK_DELAY_LOSS_RECALL),
+    ] {
+        need(
+            &format!("{} recall", class.label()),
+            r.retrans_matrix.recall(class.index()),
+            floor,
+        );
+    }
     if r.stalls < floors::MIN_STALLS {
         v.push(format!(
             "scored stalls {} < minimum {}",
@@ -501,6 +534,22 @@ mod tests {
         assert_eq!(t.id, "validation_tracks");
         assert_eq!(t.rows.len(), 8);
         assert!(t.rows.iter().all(|row| row.len() == 2));
+    }
+
+    #[test]
+    fn tail_recall_collapse_violates_its_floor() {
+        let mut r = ValidationReport::default();
+        let tail = RetransClass::TailRetrans.index();
+        r.retrans_matrix.cells[tail][RetransClass::ContinuousLoss.index()] = 10;
+        let v = floor_violations(&r);
+        assert!(
+            v.iter()
+                .any(|l| l.starts_with("Tail retr. recall: 0.000 < floor 0.050")),
+            "{v:?}"
+        );
+        r.retrans_matrix.cells[tail][tail] = 1;
+        let v = floor_violations(&r);
+        assert!(!v.iter().any(|l| l.starts_with("Tail retr.")), "{v:?}");
     }
 
     #[test]

@@ -1,110 +1,73 @@
 //! The deterministic event queue.
 //!
-//! A bucketed **calendar queue** keyed by `(SimTime, insertion sequence)`.
-//! The secondary key makes pop order fully deterministic even when many
-//! events share a timestamp, which (together with seeded RNGs) guarantees
-//! bitwise reproducible simulations.
+//! Events pop in ascending `(time, insertion sequence)` order; the secondary
+//! key makes pop order deterministic even when many events share a
+//! timestamp, which (with seeded RNGs) makes simulations bitwise
+//! reproducible.
 //!
-//! ## Why a calendar queue
-//!
-//! The per-flow simulation pushes and pops an event per simulated packet;
-//! a `BinaryHeap` pays `O(log n)` sift comparisons on every operation. The
-//! calendar queue exploits the structure of simulation time instead:
-//! events cluster within an RTT of `now`, so hashing each event into a
-//! fixed ring of 1ms-wide time buckets makes push `O(1)` and pop `O(1)`
-//! amortized (the cursor sweeps each bucket once per window).
-//!
-//! ## Layout
-//!
-//! * `buckets` — a ring of `N_BUCKETS` slots, each `BUCKET_US` wide,
-//!   covering the *current year* `[year_base, year_base + N_BUCKETS)` in
-//!   absolute bucket numbers (`t >> BUCKET_BITS`).
-//! * `far` — events beyond the current year, held unsorted. Every far
-//!   event is strictly later than every bucketed event, so `far` is only
-//!   consulted when the whole ring drains; redistribution then re-bases
-//!   the year at the earliest far event (`O(|far|)`, amortized over the
-//!   window that just drained).
-//! * The cursor's bucket is kept sorted **descending** by `(at, seq)` so
-//!   the next event pops from the back in `O(1)`; other buckets stay
-//!   unsorted (append-only) and are sorted once when the cursor reaches
-//!   them. Same-bucket pushes during the drain binary-search their slot,
-//!   preserving exact FIFO order among simultaneous events.
-//! * Payloads live in a **slab** (`Vec<Option<E>>` plus a free list) and
-//!   the buckets hold only 24-byte `(at, seq, idx)` keys. Event payloads
-//!   in this codebase are fat (a queued `Segment` is >100 bytes), and
-//!   every bucket sort, mid-drain insert, and far-redistribution moves
-//!   entries around — moving 24-byte keys instead of whole payloads keeps
-//!   those memmoves cheap. A payload is written once on push and read
-//!   once on pop.
-//!
-//! Determinism is untouched: pop order is *exactly* ascending `(at, seq)`,
-//! the same total order the old heap produced — verified by a differential
-//! test against a reference `BinaryHeap` implementation below.
+//! The per-flow simulator keeps few events pending (31 on average at a pop
+//! over a 3000-flow engine run), and 83 % of its pushes are link
+//! deliveries, which arrive in time order per direction. So the queue is a
+//! binary min-heap plus FIFO *lanes*: [`EventQueue::push_lane`] appends in
+//! `O(1)` when the event is not earlier than its lane's tail and falls back
+//! to the heap otherwise, and [`EventQueue::pop`] takes the least
+//! `(time, seq)` among the heap top and the lane heads. The sequence counter
+//! is global, so pop order is *exactly* that of one plain heap whatever the
+//! caller pushes where — verified against a reference heap below. Lanes pay
+//! off because payloads are fat (a queued `Segment` is >100 bytes) and every
+//! heap sift moves them.
+
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
-/// log2 of the bucket width in microseconds (1024µs ≈ 1ms — finer than
-/// the delayed-ACK timer, coarser than per-packet serialization gaps).
-const BUCKET_BITS: u32 = 12;
-/// Ring size; with 1ms buckets the year spans ~1.05s. Timer re-arms (RTO
-/// deadlines 200ms–1s out) are the single biggest event class the flow
-/// simulation schedules, and they must land *inside* the ring: with the
-/// previous 256-bucket (~262ms) ring, two thirds of all pushes overflowed
-/// into `far` and paid redistribution churn on every ring drain.
-const N_BUCKETS: usize = 1024;
-
-/// A bucket entry: the ordering key plus the slab index of the payload.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
+/// A pending event, ordered so the `BinaryHeap` max is the least
+/// `(at, seq)`.
+#[derive(Debug)]
+struct Entry<E> {
     at: SimTime,
     seq: u64,
-    idx: u32,
+    event: E,
 }
 
-impl Slot {
+impl<E> Entry<E> {
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
 }
 
-fn bucket_of(at: SimTime) -> u64 {
-    at.as_micros() >> BUCKET_BITS
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
 }
 
-/// A deterministic calendar queue of timestamped events.
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+/// A deterministic queue of timestamped events.
 ///
 /// Popping returns events in nondecreasing time order; ties are broken by
-/// insertion order (FIFO among simultaneous events).
+/// insertion order (FIFO among simultaneous events), across the heap and
+/// every lane.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The ring. Slot `b % N_BUCKETS` holds events of absolute bucket `b`
-    /// for `b` within the current year only.
-    buckets: Vec<Vec<Slot>>,
-    /// Payload storage; bucket entries index into it. `None` marks a hole
-    /// waiting on the free list.
-    slab: Vec<Option<E>>,
-    /// Indices of holes in `slab`, reused before the slab grows.
-    free: Vec<u32>,
-    /// Occupancy bitmap over ring slots: bit `s` of word `s / 64` is set
-    /// iff `buckets[s]` is non-empty. Events are sparse relative to the
-    /// ring (a handful in flight across a 100ms RTT ≈ 100 buckets), so
-    /// the cursor jumps empty spans with `trailing_zeros` instead of
-    /// probing each slot.
-    occupied: [u64; N_BUCKETS / 64],
-    /// Events at or beyond `year_base + N_BUCKETS` (strictly later than
-    /// everything in the ring), as a min-heap on `(at, seq)`. The heap
-    /// keeps redistribution linear-ish: re-basing peeks the earliest far
-    /// event in `O(1)` and pops only the prefix that falls inside the new
-    /// year (`O(k log n)`), instead of scanning and compacting the whole
-    /// overflow vector on every ring drain.
-    far: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64, u32)>>,
-    /// Absolute bucket number where the current year begins.
-    year_base: u64,
-    /// Absolute bucket number the pop cursor is in (`>= year_base`).
-    cursor: u64,
-    /// Whether the cursor's slot has been drain-sorted (descending).
-    cursor_sorted: bool,
-    len: usize,
+    heap: BinaryHeap<Entry<E>>,
+    /// Each lane is sorted by `(at, seq)`: only appends that keep it so
+    /// land here.
+    lanes: Vec<VecDeque<Entry<E>>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -119,50 +82,11 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at time zero.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            occupied: [0; N_BUCKETS / 64],
-            far: std::collections::BinaryHeap::new(),
-            year_base: 0,
-            cursor: 0,
-            cursor_sorted: false,
-            len: 0,
+            heap: BinaryHeap::new(),
+            lanes: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
-    }
-
-    fn mark(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-    }
-
-    fn unmark(&mut self, slot: usize) {
-        self.occupied[slot / 64] &= !(1 << (slot % 64));
-    }
-
-    /// First occupied ring slot at or after `from_slot` in cursor order
-    /// (wrapping). Ring slots behind the cursor are drained (bits clear),
-    /// so every set bit belongs to the current year ahead of the cursor.
-    fn next_occupied(&self, from_slot: usize) -> Option<usize> {
-        const WORDS: usize = N_BUCKETS / 64;
-        let w0 = from_slot / 64;
-        let shift = from_slot % 64;
-        let first = self.occupied[w0] & (!0u64 << shift);
-        if first != 0 {
-            return Some(w0 * 64 + first.trailing_zeros() as usize);
-        }
-        for k in 1..WORDS {
-            let w = (w0 + k) % WORDS;
-            if self.occupied[w] != 0 {
-                return Some(w * 64 + self.occupied[w].trailing_zeros() as usize);
-            }
-        }
-        let wrapped = self.occupied[w0] & !(!0u64 << shift);
-        if wrapped != 0 {
-            return Some(w0 * 64 + wrapped.trailing_zeros() as usize);
-        }
-        None
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -170,165 +94,107 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Stamp `event` with its time and the next sequence number.
     ///
     /// Panics in debug builds if `at` is in the past — a simulation that
     /// schedules into the past has a logic error that must not be masked.
     /// The message reports how far behind the clock the event landed.
-    pub fn push(&mut self, at: SimTime, event: E) {
+    fn entry(&mut self, at: SimTime, event: E) -> Entry<E> {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at} < {} (event is {} behind the clock)",
             self.now,
             self.now.saturating_since(at),
         );
-        let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize] = Some(event);
-                i
-            }
-            None => {
-                self.slab.push(Some(event));
-                (self.slab.len() - 1) as u32
-            }
-        };
-        let entry = Slot { at, seq, idx };
-        let b = bucket_of(at);
-        if b >= self.year_base + N_BUCKETS as u64 {
-            self.far.push(std::cmp::Reverse((at, seq, idx)));
-            return;
+        Entry {
+            at: at.max(self.now),
+            seq,
+            event,
         }
-        let s = (b % N_BUCKETS as u64) as usize;
-        let slot = &mut self.buckets[s];
-        if b == self.cursor && self.cursor_sorted {
-            // The slot is mid-drain, sorted descending: keep it sorted.
-            // The new entry has the largest seq so far, so it lands
-            // *after* any equal-time entries in pop order (FIFO).
-            let key = (at, seq);
-            let pos = slot.partition_point(|e| e.key() > key);
-            slot.insert(pos, entry);
+    }
+
+    /// Schedule `event` at absolute time `at` (debug builds panic if `at`
+    /// is in the past).
+    pub fn push(&mut self, at: SimTime, event: E) {
+        let e = self.entry(at, event);
+        self.heap.push(e);
+    }
+
+    /// Schedule `event` at `at` on FIFO lane `lane`: `O(1)` when `at` is
+    /// not earlier than the lane's last event, a heap push otherwise. Pop
+    /// order is the same as [`EventQueue::push`]'s either way.
+    pub fn push_lane(&mut self, lane: usize, at: SimTime, event: E) {
+        let e = self.entry(at, event);
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let fifo = &mut self.lanes[lane];
+        if fifo.back().is_none_or(|last| last.at <= e.at) {
+            fifo.push_back(e);
         } else {
-            slot.push(entry);
+            self.heap.push(e);
         }
-        self.mark(s);
+    }
+
+    /// Where the next event is (`Some(lane)` or `None` for the heap) and
+    /// its time; `None` when the queue is empty.
+    fn next(&self) -> Option<(Option<usize>, SimTime)> {
+        let mut best = self.heap.peek().map(|e| (None, e.key()));
+        for (i, fifo) in self.lanes.iter().enumerate() {
+            if let Some(e) = fifo.front() {
+                if best.is_none_or(|(_, k)| e.key() < k) {
+                    best = Some((Some(i), e.key()));
+                }
+            }
+        }
+        best.map(|(from, (at, _))| (from, at))
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
+        let (from, _) = self.next()?;
+        let e = match from {
+            Some(lane) => self.lanes[lane].pop_front(),
+            None => self.heap.pop(),
         }
-        loop {
-            let cur_slot = (self.cursor % N_BUCKETS as u64) as usize;
-            if let Some(s) = self.next_occupied(cur_slot) {
-                let delta = (s + N_BUCKETS - cur_slot) % N_BUCKETS;
-                if delta != 0 {
-                    self.cursor += delta as u64;
-                    self.cursor_sorted = false;
-                }
-                debug_assert!(self.cursor < self.year_base + N_BUCKETS as u64);
-                if !self.cursor_sorted {
-                    self.buckets[s].sort_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.cursor_sorted = true;
-                }
-                let entry = self.buckets[s].pop().expect("non-empty slot");
-                if self.buckets[s].is_empty() {
-                    self.unmark(s);
-                }
-                self.len -= 1;
-                self.now = entry.at;
-                let event = self.slab[entry.idx as usize]
-                    .take()
-                    .expect("slab slot occupied");
-                self.free.push(entry.idx);
-                return Some((entry.at, event));
-            }
-            // Ring drained: re-base the year at the earliest far event and
-            // pull everything that now falls inside the ring back in. The
-            // in-window events form a prefix of the heap's `(at, seq)`
-            // order (`bucket_of` is monotone in `at`), so popping until
-            // the first out-of-window event moves exactly the right set.
-            debug_assert!(!self.far.is_empty(), "len > 0 but no events anywhere");
-            let new_base = bucket_of(self.far.peek().expect("far is non-empty").0 .0);
-            self.year_base = new_base;
-            self.cursor = new_base;
-            self.cursor_sorted = false;
-            let new_end = new_base + N_BUCKETS as u64;
-            while let Some(&std::cmp::Reverse((at, seq, idx))) = self.far.peek() {
-                let b = bucket_of(at);
-                if b >= new_end {
-                    break;
-                }
-                self.far.pop();
-                let s = (b % N_BUCKETS as u64) as usize;
-                self.buckets[s].push(Slot { at, seq, idx });
-                self.mark(s);
-            }
-        }
+        .expect("next() found an event");
+        self.now = e.at;
+        Some((e.at, e.event))
     }
 
-    /// Timestamp of the next event without popping it. `O(ring)` — kept
-    /// for inspection and tests; the simulation hot loop never calls it.
+    /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        let cur_slot = (self.cursor % N_BUCKETS as u64) as usize;
-        if let Some(s) = self.next_occupied(cur_slot) {
-            let slot = &self.buckets[s];
-            let t = if s == cur_slot && self.cursor_sorted {
-                slot.last().expect("non-empty").at
-            } else {
-                slot.iter().map(|e| e.key()).min().expect("non-empty").0
-            };
-            return Some(t);
-        }
-        self.far.peek().map(|&std::cmp::Reverse((at, _, _))| at)
+        self.next().map(|(_, at)| at)
     }
 
     /// Rewind the queue to the fresh state of [`EventQueue::new`] — clock
-    /// at zero, sequence counter at zero, no pending events — while keeping
-    /// every allocation (the payload slab, free list, ring bucket vectors
-    /// and far overflow) for the next simulation. Behaviour after `reset()`
-    /// is indistinguishable from a brand-new queue: with the slab and free
-    /// list cleared, payload indices are handed out in the same order a
-    /// fresh queue would use, so pop order (and everything derived from it)
-    /// is bit-identical.
+    /// and sequence counter at zero, no pending events — keeping the heap's
+    /// and lanes' capacity for the next simulation. Pop order after
+    /// `reset()` is bit-identical to a brand-new queue's.
     pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.slab.clear();
-        self.free.clear();
-        self.occupied = [0; N_BUCKETS / 64];
-        self.far.clear();
-        self.year_base = 0;
-        self.cursor = 0;
-        self.cursor_sorted = false;
-        self.len = 0;
+        self.heap.clear();
+        self.lanes.iter_mut().for_each(VecDeque::clear);
         self.next_seq = 0;
         self.now = SimTime::ZERO;
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
-/// The pre-calendar-queue reference implementation: a plain binary heap on
-/// `Reverse<(at, seq)>`. Kept (test-only) as the oracle for the
-/// differential test — the calendar queue must reproduce its pop order
-/// exactly, ties included.
+/// The reference implementation: one plain binary heap on
+/// `Reverse<(at, seq)>`, every event pushed alike. Kept (test-only) as the
+/// oracle for the differential tests — the heap-plus-lanes queue must
+/// reproduce its pop order exactly, ties included.
 #[cfg(test)]
 mod reference {
     use super::SimTime;
@@ -435,11 +301,11 @@ mod tests {
     }
 
     #[test]
-    fn events_beyond_the_ring_pop_in_order() {
-        // Stress the far path: events many years apart, interleaved with
-        // near events, including exact ring-boundary times.
+    fn far_apart_events_pop_in_order() {
+        // Events seconds to years apart, interleaved with near events and
+        // with equal-time ties among the far ones.
         let mut q = EventQueue::new();
-        let year = SimDuration::from_micros((N_BUCKETS as u64) << BUCKET_BITS);
+        let year = SimDuration::from_secs(365 * 24 * 3600);
         q.push(SimTime::ZERO + year + year, "far2");
         q.push(SimTime::from_millis(1), "near");
         q.push(SimTime::ZERO + year, "far1");
@@ -452,16 +318,41 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_sees_ring_and_far_events() {
+    fn peek_time_sees_heap_and_lane_events() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_secs(10), "far");
+        q.push(SimTime::from_secs(10), "heap");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
-        q.push(SimTime::from_millis(3), "near");
+        q.push_lane(1, SimTime::from_millis(3), "lane");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+        assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn lane_pushes_keep_global_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis;
+        q.push_lane(0, t(10), "lane0 a");
+        q.push_lane(0, t(20), "lane0 b");
+        q.push_lane(0, t(15), "lane0 late, via heap");
+        q.push(t(10), "heap tie");
+        q.push_lane(1, t(10), "lane1 tie");
+        q.push_lane(0, t(20), "lane0 c");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec![
+                "lane0 a",
+                "heap tie",
+                "lane1 tie",
+                "lane0 late, via heap",
+                "lane0 b",
+                "lane0 c",
+            ]
+        );
     }
 
     #[test]
@@ -472,6 +363,16 @@ mod tests {
         q.push(SimTime::from_millis(10), ());
         q.pop();
         q.push(SimTime::from_millis(5), ());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "event is 5.000ms behind the clock")]
+    fn lane_push_into_the_past_reports_time_delta() {
+        let mut q = EventQueue::new();
+        q.push_lane(0, SimTime::from_millis(10), ());
+        q.pop();
+        q.push_lane(0, SimTime::from_millis(5), ());
     }
 
     /// Deterministic xorshift64* — good enough to generate adversarial
@@ -486,22 +387,73 @@ mod tests {
         }
     }
 
+    /// Where a random push goes: the heap (`None`) or one of three lanes.
+    type Target = Option<usize>;
+
+    /// Draw one push at or after the clock. Heap delays mix scales — ties
+    /// (0), sub-millisecond, RTT-sized and multi-second jumps. Lane `l`
+    /// mostly behaves like a link: its next event lands at or after both
+    /// `now + l ms` and the lane's tail, plus jitter. One lane push in
+    /// seven lands anywhere in the next 100 ms instead — usually before the
+    /// tail, so it must fall back to the heap. Zero-delay pushes tie across
+    /// lanes and the heap.
+    fn draw_push(rng: &mut Rng, q: &EventQueue<u64>) -> (Target, SimTime) {
+        let r = rng.next();
+        let now = q.now();
+        if r % 5 < 3 {
+            let lane = (r % 5) as usize;
+            if (r >> 8).is_multiple_of(7) {
+                return (
+                    Some(lane),
+                    now + SimDuration::from_micros(rng.next() % 100_000),
+                );
+            }
+            let tail = q
+                .lanes
+                .get(lane)
+                .and_then(|f| f.back())
+                .map_or(now, |e| e.at);
+            let jitter = match (r >> 16) % 3 {
+                0 => 0,
+                1 => rng.next() % 3,
+                _ => rng.next() % 1_000,
+            };
+            let floor = (now + SimDuration::from_millis(lane as u64)).max(tail);
+            return (Some(lane), floor + SimDuration::from_micros(jitter));
+        }
+        let delay = match (r >> 8) % 7 {
+            0 => 0,
+            1 => rng.next() % 3,
+            2 => rng.next() % 1_000,
+            3 => rng.next() % 100_000,
+            4 => rng.next() % 300_000,
+            5 => rng.next() % 2_000_000,
+            _ => 500_000 + rng.next() % 10_000_000,
+        };
+        (None, now + SimDuration::from_micros(delay))
+    }
+
+    fn push_to<E>(q: &mut EventQueue<E>, target: Target, at: SimTime, event: E) {
+        match target {
+            Some(lane) => q.push_lane(lane, at, event),
+            None => q.push(at, event),
+        }
+    }
+
     #[test]
     fn reset_queue_is_indistinguishable_from_fresh() {
-        // Run a random schedule (leaving events pending), reset, then run a
-        // second random schedule through both the recycled queue and a
-        // brand-new one: pop sequences, clocks and lengths must match
-        // exactly — including seq-numbered tie-breaks and far-ring rebasing.
+        // Run a random schedule (leaving heap and lane events pending),
+        // reset, then run a second random schedule through both the
+        // recycled queue and a brand-new one: pop sequences, clocks and
+        // lengths must match exactly — including seq-numbered tie-breaks.
         for seed in 1..=10u64 {
             let mut recycled = EventQueue::new();
-            // Dirty the queue: pending near events, far events, popped holes.
             let mut rng = Rng(seed);
             for _ in 0..500 {
                 let r = rng.next();
                 if !r.is_multiple_of(3) {
-                    let delay = rng.next() % 3_000_000;
-                    let at = recycled.now() + SimDuration::from_micros(delay);
-                    recycled.push(at, r);
+                    let (target, at) = draw_push(&mut rng, &recycled);
+                    push_to(&mut recycled, target, at, r);
                 } else {
                     recycled.pop();
                 }
@@ -520,15 +472,14 @@ mod tests {
                 for _ in 0..2000 {
                     let r = rng.next();
                     if r % 100 < 60 {
-                        let delay = rng.next() % 5_000_000;
-                        let at = q.now() + SimDuration::from_micros(delay);
-                        q.push(at, r);
+                        let (target, at) = draw_push(rng, q);
+                        push_to(q, target, at, r);
                     } else {
-                        popped.push(q.pop());
+                        popped.push((q.pop(), q.len()));
                     }
                 }
                 while let Some(p) = q.pop() {
-                    popped.push(Some(p));
+                    popped.push((Some(p), q.len()));
                 }
                 popped
             };
@@ -540,47 +491,51 @@ mod tests {
 
     #[test]
     fn differential_vs_binary_heap_reference() {
-        // Identical random push/pop schedules through the calendar queue
-        // and the old BinaryHeap must produce identical pop sequences —
-        // including FIFO order among same-time ties.
+        // Identical random push/pop schedules through the queue (heap and
+        // lane pushes mixed) and a plain BinaryHeap (every push alike) must
+        // produce identical pop sequences — including FIFO order among
+        // same-time ties across lanes and the heap.
+        let (mut in_order, mut fell_back, mut ties) = (0, 0, 0);
         for seed in 1..=20u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut cal = EventQueue::new();
+            let mut q = EventQueue::new();
             let mut heap = reference::HeapQueue::new();
             let mut popped = Vec::new();
             let mut expected = Vec::new();
             let mut next_id = 0u64;
             for _ in 0..4000 {
-                let r = rng.next();
-                if r % 100 < 60 {
-                    // Push: delays drawn from a mix of scales — ties (0),
-                    // sub-bucket, intra-ring, and beyond-the-ring jumps.
-                    let delay = match r % 7 {
-                        0 => 0,
-                        1 => rng.next() % 3,
-                        2 => rng.next() % 1_000,
-                        3 => rng.next() % 100_000,
-                        4 => rng.next() % 300_000,
-                        5 => rng.next() % 2_000_000,
-                        _ => 500_000 + rng.next() % 10_000_000,
-                    };
-                    let at = cal.now() + SimDuration::from_micros(delay);
-                    cal.push(at, next_id);
+                if rng.next() % 100 < 60 {
+                    let (target, at) = draw_push(&mut rng, &q);
+                    if let Some(lane) = target {
+                        match q.lanes.get(lane).and_then(|f| f.back()) {
+                            Some(tail) if tail.at > at => fell_back += 1,
+                            _ => in_order += 1,
+                        }
+                    }
+                    if at == q.now() {
+                        ties += 1;
+                    }
+                    push_to(&mut q, target, at, next_id);
                     heap.push(at, next_id);
                     next_id += 1;
                 } else {
-                    popped.extend(cal.pop());
+                    popped.extend(q.pop());
                     expected.extend(heap.pop());
                 }
             }
-            while let Some(p) = cal.pop() {
+            while let Some(p) = q.pop() {
                 popped.push(p);
             }
             while let Some(p) = heap.pop() {
                 expected.push(p);
             }
             assert_eq!(popped, expected, "divergence for seed {seed}");
-            assert!(cal.is_empty());
+            assert!(q.is_empty());
         }
+        assert!(
+            in_order > 10_000 && fell_back > 1_000 && ties > 1_000,
+            "schedule misses a path: {in_order} in-order lane pushes, \
+             {fell_back} fallbacks, {ties} ties at the clock"
+        );
     }
 }

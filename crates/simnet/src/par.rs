@@ -48,7 +48,7 @@ const CHUNK: usize = 16;
 
 /// [`par_map`] with per-worker mutable scratch: every worker calls `init()`
 /// once and then sees `&mut scratch` on each item it claims, so expensive
-/// arenas (event slabs, replay maps) are recycled across the thousands of
+/// arenas (event queues, replay maps) are recycled across the thousands of
 /// items a worker processes instead of being reallocated per item.
 ///
 /// The bit-identical-at-any-thread-count guarantee of [`par_map`] is

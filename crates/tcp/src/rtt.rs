@@ -79,6 +79,14 @@ impl RttEstimator {
         }
     }
 
+    /// Adopt an estimate taken elsewhere (e.g. a lighter monitor that saw
+    /// the flow's earlier samples) as if those samples had been observed
+    /// here. The raw last sample stays unknown.
+    pub fn seed(&mut self, srtt: SimDuration, rttvar: SimDuration) {
+        self.srtt = Some(srtt);
+        self.rttvar = rttvar;
+    }
+
     /// The smoothed RTT; `None` before the first sample.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt
@@ -124,6 +132,22 @@ mod tests {
 
     fn ms(x: u64) -> SimDuration {
         SimDuration::from_millis(x)
+    }
+
+    #[test]
+    fn seeded_estimator_continues_like_the_source() {
+        let mut source = RttEstimator::new(RttConfig::default());
+        for x in [120, 80, 300, 95] {
+            source.observe(ms(x));
+        }
+        let mut seeded = RttEstimator::new(RttConfig::default());
+        seeded.seed(source.srtt().unwrap(), source.rttvar);
+        assert_eq!(seeded.rto(), source.rto());
+        for x in [60, 410, 75] {
+            source.observe(ms(x));
+            seeded.observe(ms(x));
+            assert_eq!((seeded.srtt(), seeded.rto()), (source.srtt(), source.rto()));
+        }
     }
 
     #[test]

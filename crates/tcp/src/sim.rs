@@ -193,8 +193,8 @@ struct OracleState {
     zero_rwnd_event: Option<usize>,
 }
 
-/// Recyclable per-worker simulator arenas: the event queue (calendar ring,
-/// payload slab, overflow vector), the segment scratch buffer, and the
+/// Recyclable per-worker simulator arenas: the event queue (heap and link
+/// lanes), the segment scratch buffer, the pending-tick stacks and the
 /// per-request bookkeeping vectors of a [`FlowSim`].
 ///
 /// A worker threads one `FlowScratch` through every flow it simulates:
@@ -213,9 +213,15 @@ pub struct FlowScratch {
     issue_times: Vec<Option<SimTime>>,
     latencies: Vec<Option<SimDuration>>,
     supplies: std::collections::VecDeque<Supply>,
-    server_ticks: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
-    client_ticks: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
+    server_ticks: Vec<SimTime>,
+    client_ticks: Vec<SimTime>,
 }
+
+/// Event-queue lanes for link deliveries: each link delivers in FIFO order
+/// almost always, so its arrivals append to a lane instead of sifting
+/// through the heap (see [`EventQueue::push_lane`]).
+const LANE_S2C: usize = 0;
+const LANE_C2S: usize = 1;
 
 /// One pending application-supply step: after `delay`, hand `bytes` to the
 /// server's TCP (and close if this is the final step). `first` marks the
@@ -297,16 +303,18 @@ pub struct FlowSim<S: RecordSink = FlowTrace> {
     /// Scratch buffer of segments produced by the current event, reused so
     /// the per-event hot path never allocates.
     seg_buf: Vec<Segment>,
-    /// Pending tick times per host, earliest first. [`FlowSim::resched_tick`]
-    /// is called after every handler, and timer deadlines usually move
-    /// *later* (each ACK re-arms the RTO) — without suppression the queue
-    /// drowns in duplicate ticks (measured: ~10 stale ticks per packet).
-    /// A tick is only scheduled when it's strictly earlier than every tick
-    /// already pending for that host; a tick that fires before the current
-    /// deadline is harmless (`on_tick` past no expired timer is a no-op)
-    /// and re-arms the chain at the then-current deadline on pop.
-    server_ticks: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
-    client_ticks: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
+    /// Pending tick times per host, a stack with the earliest on top.
+    /// [`FlowSim::resched_tick`] is called after every handler, and timer
+    /// deadlines usually move *later* (each ACK re-arms the RTO) — without
+    /// suppression the queue drowns in duplicate ticks (measured: ~10
+    /// stale ticks per packet). A tick is only scheduled when it's strictly
+    /// earlier than every tick already pending for that host, so the stack
+    /// stays sorted and ticks pop last in, first out; a tick that fires
+    /// before the current deadline is harmless (`on_tick` past no expired
+    /// timer is a no-op) and re-arms the chain at the then-current deadline
+    /// on pop.
+    server_ticks: Vec<SimTime>,
+    client_ticks: Vec<SimTime>,
     /// Ground-truth recorder; `None` (the default) means no oracle.
     oracle: Option<Box<OracleState>>,
 }
@@ -339,7 +347,7 @@ impl<S: RecordSink> FlowSim<S> {
 
     /// Borrowed-scratch construction: like [`FlowSim::with_sink`], but the
     /// simulator is assembled inside `scratch`'s recycled arenas (event
-    /// slab, segment buffer, bookkeeping vectors) instead of fresh
+    /// queue, segment buffer, bookkeeping vectors) instead of fresh
     /// allocations. The scratch is left empty until
     /// [`FlowSim::run_streaming_into`] returns the arenas to it.
     pub fn with_sink_scratch(
@@ -551,7 +559,7 @@ impl<S: RecordSink> FlowSim<S> {
             Ev::ToClient(seg) => self.client_receive(now, seg),
             Ev::TickServer => {
                 let popped = self.server_ticks.pop();
-                debug_assert_eq!(popped, Some(std::cmp::Reverse(now)));
+                debug_assert_eq!(popped, Some(now));
                 // Snapshot the sender *before* the tick: if a timer fires
                 // inside `on_tick`, the pre-tick scoreboard head is the
                 // segment the timer is repairing (afterwards it may already
@@ -584,7 +592,7 @@ impl<S: RecordSink> FlowSim<S> {
             }
             Ev::TickClient => {
                 let popped = self.client_ticks.pop();
-                debug_assert_eq!(popped, Some(std::cmp::Reverse(now)));
+                debug_assert_eq!(popped, Some(now));
                 let mut out = std::mem::take(&mut self.seg_buf);
                 self.client.on_tick(now, &mut out);
                 self.client_send(now, &mut out);
@@ -692,7 +700,7 @@ impl<S: RecordSink> FlowSim<S> {
         for seg in segs.drain(..) {
             self.trace.record(&seg_to_record(now, Direction::Out, &seg));
             match self.s2c.offer(now, seg.wire_len()) {
-                Delivery::Arrive(at) => self.q.push(at, Ev::ToClient(seg)),
+                Delivery::Arrive(at) => self.q.push_lane(LANE_S2C, at, Ev::ToClient(seg)),
                 Delivery::Drop(_) => {
                     if let Some(o) = &mut self.oracle {
                         if seg.len > 0 {
@@ -742,7 +750,7 @@ impl<S: RecordSink> FlowSim<S> {
                 }
             }
             match self.c2s.offer(now, seg.wire_len()) {
-                Delivery::Arrive(at) => self.q.push(at, Ev::ToServer(seg)),
+                Delivery::Arrive(at) => self.q.push_lane(LANE_C2S, at, Ev::ToServer(seg)),
                 Delivery::Drop(_) => {
                     if let Some(o) = &mut self.oracle {
                         o.events.push(CauseEvent::at(now, CauseKind::LinkDropAck));
@@ -1045,13 +1053,10 @@ impl<S: RecordSink> FlowSim<S> {
             } else {
                 &mut self.client_ticks
             };
-            if ticks
-                .peek()
-                .is_some_and(|&std::cmp::Reverse(pending)| pending <= at)
-            {
+            if ticks.last().is_some_and(|&pending| pending <= at) {
                 return;
             }
-            ticks.push(std::cmp::Reverse(at));
+            ticks.push(at);
             self.q.push(
                 at,
                 if server {

@@ -187,7 +187,7 @@ pub fn simulate_flow_into<S: RecordSink>(
 }
 
 /// [`simulate_flow`] against a worker's recycled simulator arenas: the flow
-/// runs inside `scratch`'s event slab and buffers, which are handed back
+/// runs inside `scratch`'s event queue and buffers, which are handed back
 /// reset afterwards. Output is bit-identical to [`simulate_flow`].
 pub fn simulate_flow_scratch(
     spec: &FlowSpec,

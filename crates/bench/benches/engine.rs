@@ -78,11 +78,10 @@ use workloads::{generate_interleaved, LiveGenSpec};
 /// One measured configuration: flows/sec over `repeats` dataset builds
 /// (median), at the engine's thread count.
 ///
-/// Measures the *streaming* build — records flow straight from the
-/// simulator into the analyzer, no per-flow trace materialization — which
-/// is the hot path the engine exposes for anything that does not need raw
-/// traces. Analyses and breakdowns are bit-identical to the materializing
-/// `Dataset::build_with` (asserted by `fused_pipeline_matches_two_pass_pipeline`).
+/// Measures the dataset build — records flow straight from the simulator
+/// into the analyzer, no per-flow trace materialization. Analyses are
+/// bit-identical to analyzing the serial `workloads` traces offline
+/// (asserted by `engine_runs_match_serial_trace_path`).
 fn measure(engine: &Engine, scale: Scale, repeats: usize) -> f64 {
     let total_flows = (scale.flows_per_service * workloads::Service::ALL.len()) as f64;
     // Warm-up build: page in code, warm allocator arenas.

@@ -16,12 +16,14 @@ use experiments::{
 fn dataset_benches(h: &Harness) {
     // Building the dataset is the expensive step shared by most artifacts:
     // benchmark it once, at a reduced scale.
-    h.bench("dataset/synthesize_and_analyze_quick", || {
-        let ds = Dataset::build(experiments::Scale {
-            flows_per_service: 10,
-            seed: 1,
-        });
-        ds.services.len()
+    let scale = experiments::Scale {
+        flows_per_service: 10,
+        seed: 1,
+    };
+    h.bench("dataset/build_quick", || {
+        Dataset::build_streaming(scale, &Engine::serial())
+            .services
+            .len()
     });
 
     let ds = quick_dataset();
@@ -62,11 +64,11 @@ fn mechanism_benches(h: &Harness) {
         seed: 360,
     };
     h.bench("mechanism/table8_table9_comparison", || {
-        let cmp = mechanism::run_comparison(scale);
+        let cmp = mechanism::run_comparison(scale, &Engine::serial());
         (mechanism::table8(&cmp), mechanism::table9(&cmp))
     });
 
-    let cmp = mechanism::run_comparison(ComparisonScale::quick());
+    let cmp = mechanism::run_comparison(ComparisonScale::quick(), &Engine::serial());
     println!("{}", mechanism::table8(&cmp).render());
     println!("{}", mechanism::table9(&cmp).render());
     println!("{}", mechanism::large_flow_throughput(&cmp).render());
@@ -91,12 +93,14 @@ fn engine_benches(h: &Harness) {
         seed: 2015,
     };
     let serial = h.bench("engine/dataset_serial", || {
-        Dataset::build_with(scale, &Engine::serial()).services.len()
+        Dataset::build_streaming(scale, &Engine::serial())
+            .services
+            .len()
     });
     let auto = Engine::auto();
     let parallel = h.bench(
         &format!("engine/dataset_{}_threads", auto.threads()),
-        || Dataset::build_with(scale, &auto).services.len(),
+        || Dataset::build_streaming(scale, &auto).services.len(),
     );
     if let (Some(s), Some(p)) = (serial, parallel) {
         println!(

@@ -17,11 +17,11 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use experiments::{Dataset, Scale};
+use experiments::{Dataset, Engine, Scale};
 
 /// Build the shared quick-scale dataset once per bench process.
 pub fn quick_dataset() -> Dataset {
-    Dataset::build(Scale::quick())
+    Dataset::build_streaming(Scale::quick(), &Engine::serial())
 }
 
 /// Minimal timing harness: adaptive iteration count, median-of-batches

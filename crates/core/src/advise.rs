@@ -308,7 +308,7 @@ pub fn advise(obs: &Observations, cfg: &AdviseConfig) -> Vec<ServiceAdvice> {
         selected.len() * per_service,
         threads,
         || (FlowScratch::new(), StreamAnalyzer::new(acfg)),
-        |idx, (sim, slot)| {
+        |idx, (sim, analyzer)| {
             let svc_i = idx / per_service;
             let rep = (idx % per_service) / cfg.flows;
             let flow_i = idx % cfg.flows;
@@ -318,11 +318,8 @@ pub fn advise(obs: &Observations, cfg: &AdviseConfig) -> Vec<ServiceAdvice> {
             let fseed = rep_seed.wrapping_add(flow_i as u64);
             let mut stall_us = [0u64; 4];
             for (m, mech) in mechanisms(service).into_iter().enumerate() {
-                let analyzer = std::mem::replace(slot, StreamAnalyzer::new(acfg));
-                let (_out, mut analyzer) =
-                    simulate_flow_into_scratch(&spec, &path, mech, fseed, analyzer, sim);
+                simulate_flow_into_scratch(&spec, &path, mech, fseed, &mut *analyzer, sim);
                 let analysis = analyzer.finish_reset();
-                *slot = analyzer;
                 stall_us[m] = analysis.stalls.iter().map(|s| s.duration.as_micros()).sum();
             }
             stall_us

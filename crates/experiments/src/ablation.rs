@@ -8,7 +8,7 @@
 use simnet::time::SimDuration;
 use tapo::{analyze_flow, AnalyzerConfig, RetransClass, StallBreakdown, StallClass};
 use tcp_sim::recovery::{RecoveryMechanism, SrtoConfig};
-use workloads::{Corpus, Service};
+use workloads::{sample_population, Corpus, Service};
 
 use crate::engine::Engine;
 use crate::output::{pct_cell, Table};
@@ -17,11 +17,10 @@ use tapo::Cdf;
 /// Sweep S-RTO's probe-timer multiple and `T1` on a web-search population;
 /// report p90 latency change vs native and the retransmission ratio. Reads
 /// only latency CDFs and aggregate counters, so every run is trace-free
-/// ([`Engine::run_population_lean`]).
+/// ([`Engine::run`]).
 pub fn srto_sweep(flows: usize, seed: u64, engine: &Engine) -> Table {
-    let pop = engine.sample_population(Service::WebSearch, flows, seed);
-    let native =
-        engine.run_population_lean(Service::WebSearch, &pop, RecoveryMechanism::Native, seed);
+    let pop = sample_population(Service::WebSearch, flows, seed);
+    let native = engine.run(Service::WebSearch, &pop, RecoveryMechanism::Native, seed);
     let base_p90 = latency_cdf(&native).quantile(0.9);
 
     let mut rows = Vec::new();
@@ -32,12 +31,7 @@ pub fn srto_sweep(flows: usize, seed: u64, engine: &Engine) -> Table {
                 t2_cwnd: 5,
                 probe_rtt_mult: mult,
             };
-            let run = engine.run_population_lean(
-                Service::WebSearch,
-                &pop,
-                RecoveryMechanism::Srto(cfg),
-                seed,
-            );
+            let run = engine.run(Service::WebSearch, &pop, RecoveryMechanism::Srto(cfg), seed);
             let p90 = latency_cdf(&run).quantile(0.9);
             let change = match (p90, base_p90) {
                 (Some(n), Some(b)) if b > 0.0 => format!("{}%", pct_cell(100.0 * (n - b) / b)),
@@ -67,9 +61,8 @@ pub fn srto_sweep(flows: usize, seed: u64, engine: &Engine) -> Table {
 /// Ablate the `T2` conditional-halving guard: never halve / conditional
 /// (paper) / always halve. Trace-free like [`srto_sweep`].
 pub fn srto_t2_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
-    let pop = engine.sample_population(Service::WebSearch, flows, seed);
-    let native =
-        engine.run_population_lean(Service::WebSearch, &pop, RecoveryMechanism::Native, seed);
+    let pop = sample_population(Service::WebSearch, flows, seed);
+    let native = engine.run(Service::WebSearch, &pop, RecoveryMechanism::Native, seed);
     let base = latency_cdf(&native);
     let mut rows = Vec::new();
     for (name, t2) in [
@@ -82,12 +75,7 @@ pub fn srto_t2_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
             t2_cwnd: t2,
             probe_rtt_mult: 2.0,
         };
-        let run = engine.run_population_lean(
-            Service::WebSearch,
-            &pop,
-            RecoveryMechanism::Srto(cfg),
-            seed,
-        );
+        let run = engine.run(Service::WebSearch, &pop, RecoveryMechanism::Srto(cfg), seed);
         let cdf = latency_cdf(&run);
         let cell = |q: f64| match (cdf.quantile(q), base.quantile(q)) {
             (Some(n), Some(b)) if b > 0.0 => format!("{}%", pct_cell(100.0 * (n - b) / b)),
@@ -116,16 +104,14 @@ pub fn srto_t2_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
 /// Bursty vs memoryless loss at equal mean rate: the retransmission-stall
 /// mix shifts away from double/continuous losses under Bernoulli. Analyses
 /// stream out of the simulation pass — no trace is ever materialized
-/// ([`Engine::run_population_streaming`]).
+/// ([`Engine::analyze`]).
 pub fn burstiness_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
-    let cfg = AnalyzerConfig::default();
-    let mut pop = engine.sample_population(Service::SoftwareDownload, flows, seed);
-    let (_, bursty_analyses) = engine.run_population_streaming(
+    let mut pop = sample_population(Service::SoftwareDownload, flows, seed);
+    let (_, bursty_analyses) = engine.analyze(
         Service::SoftwareDownload,
         &pop,
         RecoveryMechanism::Native,
         seed,
-        cfg,
     );
     // Replace each path's loss process with a Bernoulli of the same mean.
     for (_, path) in pop.iter_mut() {
@@ -133,12 +119,11 @@ pub fn burstiness_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
         path.loss = simnet::loss::LossSpec::bernoulli(mean);
         path.ack_loss = Some(simnet::loss::LossSpec::bernoulli(mean / 3.0));
     }
-    let (_, memless_analyses) = engine.run_population_streaming(
+    let (_, memless_analyses) = engine.analyze(
         Service::SoftwareDownload,
         &pop,
         RecoveryMechanism::Native,
         seed,
-        cfg,
     );
 
     let bb = Engine::breakdown(&bursty_analyses);
@@ -170,25 +155,22 @@ pub fn burstiness_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
 /// stalls, citing Wei et al.): the same software-download population with
 /// and without sender pacing.
 pub fn pacing_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
-    let cfg = AnalyzerConfig::default();
-    let pop = engine.sample_population(Service::SoftwareDownload, flows, seed);
+    let pop = sample_population(Service::SoftwareDownload, flows, seed);
     let mut paced_pop = pop.clone();
     for (spec, _) in paced_pop.iter_mut() {
         spec.pacing = true;
     }
-    let (plain, plain_analyses) = engine.run_population_streaming(
+    let (plain, plain_analyses) = engine.analyze(
         Service::SoftwareDownload,
         &pop,
         RecoveryMechanism::Native,
         seed,
-        cfg,
     );
-    let (paced, paced_analyses) = engine.run_population_streaming(
+    let (paced, paced_analyses) = engine.analyze(
         Service::SoftwareDownload,
         &paced_pop,
         RecoveryMechanism::Native,
         seed,
-        cfg,
     );
     let (b0, b1) = (
         Engine::breakdown(&plain_analyses),
@@ -223,25 +205,17 @@ pub fn pacing_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
 /// Early-retransmit ablation (RFC 5827, §4.3's suggestion for small-cwnd
 /// stalls): cloud-storage population with and without ER.
 pub fn early_retransmit_ablation(flows: usize, seed: u64, engine: &Engine) -> Table {
-    let cfg = AnalyzerConfig::default();
-    let pop = engine.sample_population(Service::CloudStorage, flows, seed);
+    let pop = sample_population(Service::CloudStorage, flows, seed);
     let mut er_pop = pop.clone();
     for (spec, _) in er_pop.iter_mut() {
         spec.early_retransmit = true;
     }
-    let plain = engine.run_population_streaming(
-        Service::CloudStorage,
-        &pop,
-        RecoveryMechanism::Native,
-        seed,
-        cfg,
-    );
-    let er = engine.run_population_streaming(
+    let plain = engine.analyze(Service::CloudStorage, &pop, RecoveryMechanism::Native, seed);
+    let er = engine.analyze(
         Service::CloudStorage,
         &er_pop,
         RecoveryMechanism::Native,
         seed,
-        cfg,
     );
     let breakdown = |(corpus, analyses): &(Corpus, Vec<tapo::FlowAnalysis>)| {
         let b = Engine::breakdown(analyses);
@@ -278,13 +252,12 @@ pub fn early_retransmit_ablation(flows: usize, seed: u64, engine: &Engine) -> Ta
 /// TAPO accuracy check (extra): compare TAPO's trace-only estimates with
 /// the simulator's ground truth for timeout and total retransmissions.
 pub fn tapo_accuracy(flows: usize, seed: u64, engine: &Engine) -> Table {
-    let pop = engine.sample_population(Service::SoftwareDownload, flows, seed);
-    let (corpus, analyses) = engine.run_population_streaming(
+    let pop = sample_population(Service::SoftwareDownload, flows, seed);
+    let (corpus, analyses) = engine.analyze(
         Service::SoftwareDownload,
         &pop,
         RecoveryMechanism::Native,
         seed,
-        AnalyzerConfig::default(),
     );
     let (mut est_retr, mut true_retr, mut est_rto, mut true_rto) = (0u64, 0u64, 0u64, 0u64);
     for (f, a) in corpus.flows.iter().zip(&analyses) {

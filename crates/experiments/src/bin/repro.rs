@@ -117,7 +117,7 @@ fn main() {
             ds_scale.seed,
             engine.threads()
         );
-        let ds = Dataset::build_with(ds_scale, &engine);
+        let ds = Dataset::build_streaming(ds_scale, &engine);
         if want("table1") {
             print_t(table1::table1(&ds));
         }
@@ -182,7 +182,7 @@ fn main() {
             "running mechanism comparison: {} web + {} cloud flows × 4 mechanisms...",
             cmp_scale.web_flows, cmp_scale.cloud_flows
         );
-        let cmp = mechanism::run_comparison_with(cmp_scale, &engine);
+        let cmp = mechanism::run_comparison(cmp_scale, &engine);
         if want("table8") {
             print_t(mechanism::table8(&cmp));
             print_t(mechanism::large_flow_throughput(&cmp));

@@ -2,10 +2,16 @@
 //! under the native (Linux 2.6.32) stack and analyzed by TAPO — the
 //! simulated counterpart of the paper's 7-day production capture that
 //! Sections 2–4 are computed from.
+//!
+//! The dataset keeps analyses only: it is built on the trace-free
+//! [`Engine::analyze`], so no per-flow trace is ever materialized. A
+//! caller that needs the records takes them from the serial `workloads`
+//! API ([`workloads::synthesize_corpus`]), which samples and seeds flows
+//! exactly as the dataset does.
 
-use tapo::{AnalyzerConfig, FlowAnalysis, StallBreakdown};
+use tapo::{FlowAnalysis, StallBreakdown};
 use tcp_sim::recovery::RecoveryMechanism;
-use workloads::{Corpus, Service};
+use workloads::{sample_population, Service};
 
 use crate::engine::Engine;
 
@@ -36,67 +42,15 @@ impl Scale {
     }
 }
 
-/// One service's corpus plus its TAPO analyses and aggregate breakdown.
+/// One service's TAPO analyses and aggregate breakdown.
 #[derive(Debug)]
 pub struct ServiceData {
     /// The service.
     pub service: Service,
-    /// Simulated flows (traces + ground truth).
-    pub corpus: Corpus,
     /// TAPO's per-flow analysis.
     pub analyses: Vec<FlowAnalysis>,
     /// Aggregated stall breakdown.
     pub breakdown: StallBreakdown,
-}
-
-impl ServiceData {
-    /// Build one service's data at the given scale, serially.
-    pub fn build(service: Service, scale: Scale) -> Self {
-        Self::build_with(service, scale, &Engine::serial())
-    }
-
-    /// Build one service's data on the given engine. Output is identical at
-    /// any thread count (see [`crate::engine`]). Simulation and analysis
-    /// are fused: each flow's records are teed into the materialized trace
-    /// and a streaming analyzer in one pass.
-    pub fn build_with(service: Service, scale: Scale, engine: &Engine) -> Self {
-        let (corpus, analyses) = engine.synthesize_and_analyze(
-            service,
-            scale.flows_per_service,
-            RecoveryMechanism::Native,
-            scale.seed,
-            AnalyzerConfig::default(),
-        );
-        let breakdown = Engine::breakdown(&analyses);
-        ServiceData {
-            service,
-            corpus,
-            analyses,
-            breakdown,
-        }
-    }
-
-    /// Build one service's data without materializing any per-flow trace:
-    /// records stream straight into the analyzer. Analyses and breakdown
-    /// are identical to [`ServiceData::build_with`]; the corpus keeps its
-    /// aggregate per-flow counters but every `trace` is empty. Use this
-    /// when nothing downstream reads raw traces (benchmarks, large sweeps).
-    pub fn build_streaming(service: Service, scale: Scale, engine: &Engine) -> Self {
-        let (corpus, analyses) = engine.analyze_streaming(
-            service,
-            scale.flows_per_service,
-            RecoveryMechanism::Native,
-            scale.seed,
-            AnalyzerConfig::default(),
-        );
-        let breakdown = Engine::breakdown(&analyses);
-        ServiceData {
-            service,
-            corpus,
-            analyses,
-            breakdown,
-        }
-    }
 }
 
 /// The full three-service dataset.
@@ -109,27 +63,22 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Synthesize and analyze all three services, serially.
-    pub fn build(scale: Scale) -> Self {
-        Self::build_with(scale, &Engine::serial())
-    }
-
-    /// Synthesize and analyze all three services on the given engine.
+    /// Sample, simulate and analyze all three services on the given engine
+    /// ([`Engine::analyze`]: records stream into TAPO, no trace is kept).
     /// Output is identical at any thread count (see [`crate::engine`]).
-    pub fn build_with(scale: Scale, engine: &Engine) -> Self {
-        let services = Service::ALL
-            .iter()
-            .map(|&s| ServiceData::build_with(s, scale, engine))
-            .collect();
-        Dataset { services, scale }
-    }
-
-    /// Synthesize and analyze all three services without materializing
-    /// per-flow traces (see [`ServiceData::build_streaming`]).
     pub fn build_streaming(scale: Scale, engine: &Engine) -> Self {
         let services = Service::ALL
             .iter()
-            .map(|&s| ServiceData::build_streaming(s, scale, engine))
+            .map(|&service| {
+                let population = sample_population(service, scale.flows_per_service, scale.seed);
+                let (_, analyses) =
+                    engine.analyze(service, &population, RecoveryMechanism::Native, scale.seed);
+                ServiceData {
+                    service,
+                    breakdown: Engine::breakdown(&analyses),
+                    analyses,
+                }
+            })
             .collect();
         Dataset { services, scale }
     }
@@ -141,13 +90,13 @@ mod tests {
 
     #[test]
     fn quick_dataset_builds_and_detects_stalls() {
-        let data = ServiceData::build(
-            Service::WebSearch,
-            Scale {
-                flows_per_service: 20,
-                seed: 1,
-            },
-        );
+        let scale = Scale {
+            flows_per_service: 20,
+            seed: 1,
+        };
+        let ds = Dataset::build_streaming(scale, &Engine::serial());
+        let data = ds.services.iter().find(|s| s.service == Service::WebSearch);
+        let data = data.expect("web-search service");
         assert_eq!(data.analyses.len(), 20);
         // With 2% bursty loss and back-end delays, some stalls must exist.
         assert!(data.breakdown.total_stalls > 0);

@@ -49,7 +49,7 @@ pub mod validate;
 
 pub use dataset::{Dataset, Scale, ServiceData};
 pub use engine::Engine;
-pub use mechanism::{run_comparison, run_comparison_with, Comparison, ComparisonScale};
+pub use mechanism::{run_comparison, Comparison, ComparisonScale};
 pub use output::{Figure, Series, Table};
 
 use std::path::Path;
@@ -92,7 +92,7 @@ pub fn run_dataset_experiments(ds: &Dataset, out_dir: Option<&Path>) -> Vec<Stri
 
 /// The mechanism-comparison experiments (Tables 8 & 9), rendered.
 pub fn run_mechanism_experiments(scale: ComparisonScale, out_dir: Option<&Path>) -> Vec<String> {
-    let cmp = run_comparison(scale);
+    let cmp = run_comparison(scale, &Engine::serial());
     [
         mechanism::table8(&cmp),
         mechanism::table9(&cmp),
@@ -114,10 +114,11 @@ mod tests {
 
     #[test]
     fn quick_dataset_experiments_render() {
-        let ds = Dataset::build(Scale {
+        let scale = Scale {
             flows_per_service: 15,
             seed: 7,
-        });
+        };
+        let ds = Dataset::build_streaming(scale, &Engine::serial());
         let rendered = run_dataset_experiments(&ds, None);
         assert_eq!(rendered.len(), 16);
         assert!(rendered[0].contains("table1"));

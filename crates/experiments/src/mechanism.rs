@@ -47,7 +47,8 @@ impl ComparisonScale {
     }
 }
 
-/// One mechanism's corpora for both evaluated services.
+/// One mechanism's trace-free corpora (outcome counters only) for both
+/// evaluated services.
 #[derive(Debug)]
 pub struct MechanismRun {
     /// "Linux" / "TLP" / "S-RTO" / "T-RACKs".
@@ -67,27 +68,24 @@ pub struct Comparison {
     pub runs: Vec<MechanismRun>,
 }
 
-/// Run the paired comparison serially. See [`run_comparison_with`].
-pub fn run_comparison(scale: ComparisonScale) -> Comparison {
-    run_comparison_with(scale, &Engine::serial())
-}
-
 /// Run the paired comparison on the given engine: identical populations and
 /// per-flow seeds across the four mechanisms (S-RTO uses the paper's
-/// per-service `T1`). Output is identical at any thread count.
-pub fn run_comparison_with(scale: ComparisonScale, engine: &Engine) -> Comparison {
+/// per-service `T1`). Every run is trace-free ([`Engine::run`]): Tables 8
+/// and 9 read only latencies, response sizes and sender counters. Output is
+/// identical at any thread count.
+pub fn run_comparison(scale: ComparisonScale, engine: &Engine) -> Comparison {
     // The paper's A/B ran on specific front-end servers, i.e. a relatively
     // homogeneous client population per server. Our synthesized populations
     // span 1–50 Mbit/s access links and wide RTTs, whose latency variance
     // would bury the mechanism effect at fixed quantiles, so the latency
     // populations are homogenized in bottleneck bandwidth (loss, bursts,
     // jitter and client behaviour keep their full variation).
-    let mut web_pop = engine.sample_population(Service::WebSearch, scale.web_flows, scale.seed);
+    let mut web_pop = workloads::sample_population(Service::WebSearch, scale.web_flows, scale.seed);
     for (_, path) in web_pop.iter_mut() {
         path.bandwidth_bps = 8_000_000;
     }
     let cloud_pop =
-        engine.sample_population(Service::CloudStorage, scale.cloud_flows, scale.seed + 1);
+        workloads::sample_population(Service::CloudStorage, scale.cloud_flows, scale.seed + 1);
     // The short-flow population (the paper's "control flows"): a
     // *controlled* experiment — fixed 100KB transfers over a grid of
     // service-typical paths with 4% bursty loss. The production-mix
@@ -141,14 +139,14 @@ pub fn run_comparison_with(scale: ComparisonScale, engine: &Engine) -> Compariso
         .into_iter()
         .map(|(label, web_mech, cloud_mech)| MechanismRun {
             label,
-            web: engine.run_population(Service::WebSearch, &web_pop, web_mech, scale.seed),
-            cloud_short: engine.run_population(
+            web: engine.run(Service::WebSearch, &web_pop, web_mech, scale.seed),
+            cloud_short: engine.run(
                 Service::CloudStorage,
                 &short_pop,
                 cloud_mech,
                 scale.seed + 2,
             ),
-            cloud: engine.run_population(
+            cloud: engine.run(
                 Service::CloudStorage,
                 &cloud_pop,
                 cloud_mech,

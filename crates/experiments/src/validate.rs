@@ -34,20 +34,18 @@ pub fn run_validation(flows: usize, seed: u64, engine: &Engine) -> ValidationRep
         let per_flow = engine.map_with(
             flows,
             || (FlowScratch::new(), StreamAnalyzer::new(cfg)),
-            |i, (sim, slot)| {
+            |i, (sim, analyzer)| {
                 let (spec, path) = sample_flow(&model, seed, i);
                 let fseed = seed + i as u64;
-                let analyzer = std::mem::replace(slot, StreamAnalyzer::new(cfg));
-                let (out, mut analyzer) = simulate_flow_oracle_into_scratch(
+                let (out, _) = simulate_flow_oracle_into_scratch(
                     &spec,
                     &path,
                     RecoveryMechanism::Native,
                     fseed,
-                    analyzer,
+                    &mut *analyzer,
                     sim,
                 );
                 let analysis = analyzer.finish_reset();
-                *slot = analyzer;
                 let mut r = ValidationReport::default();
                 r.score_flow(&analysis.stalls, &out.oracle);
                 r
@@ -117,20 +115,18 @@ pub fn run_tracks_validation(flows: usize, seed: u64, engine: &Engine) -> Tracks
         let per_flow = engine.map_with(
             flows,
             || (FlowScratch::new(), StreamAnalyzer::new(cfg)),
-            |i, (sim, slot)| {
+            |i, (sim, analyzer)| {
                 let (spec, path) = sample_flow(&model, seed, i);
                 let fseed = seed + i as u64;
-                let analyzer = std::mem::replace(slot, StreamAnalyzer::new(cfg));
-                let (out, mut analyzer) = simulate_flow_oracle_into_scratch(
+                let (out, _) = simulate_flow_oracle_into_scratch(
                     &spec,
                     &path,
                     RecoveryMechanism::tracks(),
                     fseed,
-                    analyzer,
+                    &mut *analyzer,
                     sim,
                 );
                 let analysis = analyzer.finish_reset();
-                *slot = analyzer;
                 let mut r = ValidationReport::default();
                 r.score_flow(&analysis.stalls, &out.oracle);
                 (r, out.server_stats.tracks_forced)
@@ -145,7 +141,7 @@ pub fn run_tracks_validation(flows: usize, seed: u64, engine: &Engine) -> Tracks
     let per_flow = engine.map_with(
         flows * 3,
         || (FlowScratch::new(), StreamAnalyzer::new(cfg)),
-        |i, (sim, slot)| {
+        |i, (sim, analyzer)| {
             let rtt_ms = 40 + (i as u64 % 5) * 30;
             let rtt = simnet::time::SimDuration::from_millis(rtt_ms);
             // Eight small responses per flow: each 9–15KB response is
@@ -179,26 +175,24 @@ pub fn run_tracks_validation(flows: usize, seed: u64, engine: &Engine) -> Tracks
                 ..workloads::PathSpec::default()
             };
             let fseed = seed + i as u64;
-            let analyzer = std::mem::replace(slot, StreamAnalyzer::new(cfg));
-            let (tout, mut analyzer) = simulate_flow_into_scratch(
+            let (tout, _) = simulate_flow_into_scratch(
                 &spec,
                 &path,
                 RecoveryMechanism::tracks(),
                 fseed,
-                analyzer,
+                &mut *analyzer,
                 sim,
             );
             let tracks_analysis = analyzer.finish_reset();
-            let (nout, mut analyzer) = simulate_flow_into_scratch(
+            let (nout, _) = simulate_flow_into_scratch(
                 &spec,
                 &path,
                 RecoveryMechanism::Native,
                 fseed,
-                analyzer,
+                &mut *analyzer,
                 sim,
             );
             let native_analysis = analyzer.finish_reset();
-            *slot = analyzer;
             let stall_us = |a: &tapo::FlowAnalysis| {
                 a.stalls.iter().map(|s| s.duration.as_micros()).sum::<u64>()
             };

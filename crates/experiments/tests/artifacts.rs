@@ -4,14 +4,19 @@
 
 use experiments::{
     fig1, fig11, fig3, fig6, fig7, mechanism, table1, table3, table4, table5, table6,
-    ComparisonScale, Dataset, Scale,
+    ComparisonScale, Dataset, Engine, Scale,
 };
 
+fn dataset(flows_per_service: usize, seed: u64) -> Dataset {
+    let scale = Scale {
+        flows_per_service,
+        seed,
+    };
+    Dataset::build_streaming(scale, &Engine::serial())
+}
+
 fn tiny_dataset() -> Dataset {
-    Dataset::build(Scale {
-        flows_per_service: 25,
-        seed: 99,
-    })
+    dataset(25, 99)
 }
 
 #[test]
@@ -70,10 +75,7 @@ fn table5_shares_sum_to_about_hundred() {
 fn table4_zero_window_probability_declines_with_rwnd_for_software() {
     // The paper's key correlation: larger initial windows mean fewer
     // zero-window flows. Use a bigger sample for a stable monotone trend.
-    let ds = Dataset::build(Scale {
-        flows_per_service: 150,
-        seed: 7,
-    });
+    let ds = dataset(150, 7);
     let t = table4::table4(&ds);
     let soft = t
         .rows
@@ -132,10 +134,7 @@ fn figures_are_valid_cdfs() {
 
 #[test]
 fn fig6_reproduces_the_small_window_population() {
-    let ds = Dataset::build(Scale {
-        flows_per_service: 150,
-        seed: 7,
-    });
+    let ds = dataset(150, 7);
     let f = fig6::fig6(&ds);
     let soft = f
         .series
@@ -156,12 +155,13 @@ fn fig6_reproduces_the_small_window_population() {
 
 #[test]
 fn comparison_is_paired_and_complete() {
-    let cmp = mechanism::run_comparison(ComparisonScale {
+    let scale = ComparisonScale {
         web_flows: 10,
         cloud_short_flows: 10,
         cloud_flows: 5,
         seed: 3,
-    });
+    };
+    let cmp = mechanism::run_comparison(scale, &Engine::serial());
     assert_eq!(cmp.runs.len(), 4);
     assert_eq!(cmp.runs[0].label, "Linux");
     assert_eq!(cmp.runs[3].label, "T-RACKs");
@@ -181,14 +181,8 @@ fn comparison_is_paired_and_complete() {
 
 #[test]
 fn dataset_is_deterministic_across_builds() {
-    let a = Dataset::build(Scale {
-        flows_per_service: 10,
-        seed: 5,
-    });
-    let b = Dataset::build(Scale {
-        flows_per_service: 10,
-        seed: 5,
-    });
+    let a = dataset(10, 5);
+    let b = dataset(10, 5);
     let t_a = table3::table3(&a);
     let t_b = table3::table3(&b);
     assert_eq!(t_a, t_b);

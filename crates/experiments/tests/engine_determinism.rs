@@ -12,31 +12,21 @@ const SCALE: Scale = Scale {
 
 #[test]
 fn dataset_is_identical_at_any_thread_count() {
-    let serial = Dataset::build_with(SCALE, &Engine::new(1));
+    let serial = Dataset::build_streaming(SCALE, &Engine::new(1));
     for threads in [2, 8] {
-        let parallel = Dataset::build_with(SCALE, &Engine::new(threads));
+        let parallel = Dataset::build_streaming(SCALE, &Engine::new(threads));
         for (s, p) in serial.services.iter().zip(&parallel.services) {
             assert_eq!(s.service, p.service);
-            // The aggregate breakdown is bit-identical...
+            // Every per-flow analysis is bit-identical...
+            assert_eq!(
+                s.analyses, p.analyses,
+                "analyses differ at {threads} threads"
+            );
+            // ...and so is the aggregate breakdown folded from them.
             assert_eq!(
                 s.breakdown, p.breakdown,
                 "breakdown differs at {threads} threads"
             );
-            // ...because every simulated trace and analysis is.
-            assert_eq!(s.corpus.flows.len(), p.corpus.flows.len());
-            for (sf, pf) in s.corpus.flows.iter().zip(&p.corpus.flows) {
-                assert_eq!(
-                    sf.trace.records, pf.trace.records,
-                    "trace differs at {threads} threads"
-                );
-                assert_eq!(sf.response_bytes, pf.response_bytes);
-                assert_eq!(sf.completed, pf.completed);
-            }
-            for (sa, pa) in s.analyses.iter().zip(&p.analyses) {
-                assert_eq!(sa.stalls.len(), pa.stalls.len());
-                assert_eq!(sa.metrics.stalled_time, pa.metrics.stalled_time);
-                assert_eq!(sa.metrics.goodput_bytes, pa.metrics.goodput_bytes);
-            }
         }
         // The rendered artifacts are therefore byte-identical too.
         assert_eq!(
@@ -58,8 +48,8 @@ fn comparison_is_identical_at_any_thread_count() {
         cloud_flows: 8,
         seed: 360,
     };
-    let serial = mechanism::run_comparison_with(scale, &Engine::new(1));
-    let parallel = mechanism::run_comparison_with(scale, &Engine::new(8));
+    let serial = mechanism::run_comparison(scale, &Engine::new(1));
+    let parallel = mechanism::run_comparison(scale, &Engine::new(8));
     for (s, p) in serial.runs.iter().zip(&parallel.runs) {
         assert_eq!(s.label, p.label);
         for (sc, pc) in [
@@ -69,8 +59,12 @@ fn comparison_is_identical_at_any_thread_count() {
         ] {
             assert_eq!(sc.flows.len(), pc.flows.len());
             for (sf, pf) in sc.flows.iter().zip(&pc.flows) {
-                assert_eq!(sf.trace.records, pf.trace.records);
+                assert_eq!(sf.server_stats, pf.server_stats);
                 assert_eq!(sf.request_latencies, pf.request_latencies);
+                assert_eq!(sf.completed, pf.completed);
+                assert_eq!(sf.finished_at, pf.finished_at);
+                assert_eq!(sf.s2c_stats, pf.s2c_stats);
+                assert_eq!(sf.c2s_stats, pf.c2s_stats);
             }
         }
     }
@@ -82,15 +76,4 @@ fn comparison_is_identical_at_any_thread_count() {
         mechanism::table9(&serial).render(),
         mechanism::table9(&parallel).render()
     );
-}
-
-#[test]
-fn engine_serial_equals_plain_build() {
-    // `Dataset::build` (the serial convenience) and an explicit parallel
-    // engine agree — the parallel path is a pure optimization.
-    let a = Dataset::build(SCALE);
-    let b = Dataset::build_with(SCALE, &Engine::auto());
-    for (s, p) in a.services.iter().zip(&b.services) {
-        assert_eq!(s.breakdown, p.breakdown);
-    }
 }

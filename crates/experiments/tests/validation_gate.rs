@@ -6,7 +6,7 @@
 use experiments::{validate, Engine, Scale};
 use tapo::{analyze_flow, AnalyzerConfig, Replay, StreamAnalyzer};
 use tcp_sim::recovery::RecoveryMechanism;
-use workloads::Service;
+use workloads::{synthesize_corpus, Service};
 
 /// Streaming and offline TAPO must agree field-for-field on every flow of
 /// the full quick-scale corpus, for all three services — not just on
@@ -14,10 +14,9 @@ use workloads::Service;
 #[test]
 fn streaming_equals_offline_on_quick_corpus() {
     let scale = Scale::quick();
-    let engine = Engine::auto();
     let cfg = AnalyzerConfig::default();
     for service in Service::ALL {
-        let corpus = engine.synthesize_corpus(
+        let corpus = synthesize_corpus(
             service,
             scale.flows_per_service,
             RecoveryMechanism::Native,
@@ -41,10 +40,9 @@ fn streaming_equals_offline_on_quick_corpus() {
 /// stall-ending packet into a fresh [`Replay`].
 #[test]
 fn every_stall_exceeds_its_threshold() {
-    let engine = Engine::auto();
     let cfg = AnalyzerConfig::default();
     for service in Service::ALL {
-        let corpus = engine.synthesize_corpus(service, 25, RecoveryMechanism::Native, 2015);
+        let corpus = synthesize_corpus(service, 25, RecoveryMechanism::Native, 2015);
         let mut stalls_checked = 0usize;
         for flow in &corpus.flows {
             let analysis = analyze_flow(&flow.trace, cfg);

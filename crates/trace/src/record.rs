@@ -265,7 +265,8 @@ pub struct TraceRecord {
 /// Producers (the flow simulator, pcap readers) emit records one at a time;
 /// a sink either materializes them (a [`crate::flow::FlowTrace`]) or folds
 /// them into running state (a streaming analyzer) without retaining the
-/// trace. Tee into two sinks at once with a `(A, B)` tuple.
+/// trace. Tee into two sinks at once with a `(A, B)` tuple; lend one by
+/// `&mut` to keep it (and its storage) across runs.
 pub trait RecordSink {
     /// Accept the next record. Records arrive in non-decreasing time order.
     fn record(&mut self, rec: &TraceRecord);
@@ -275,6 +276,13 @@ impl<A: RecordSink, B: RecordSink> RecordSink for (A, B) {
     fn record(&mut self, rec: &TraceRecord) {
         self.0.record(rec);
         self.1.record(rec);
+    }
+}
+
+/// A borrowed sink: lend a recycled sink to a run without giving it up.
+impl<S: RecordSink + ?Sized> RecordSink for &mut S {
+    fn record(&mut self, rec: &TraceRecord) {
+        (**self).record(rec);
     }
 }
 

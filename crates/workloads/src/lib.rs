@@ -28,7 +28,7 @@ pub use corpus::{
 pub use livegen::{daemon_specs, generate_interleaved, LiveGenSpec, LiveGenStats, LiveMechanism};
 pub use service::{Service, ServiceModel};
 pub use spec::{
-    flow_key_for_seed, simulate_flow, simulate_flow_into, simulate_flow_into_scratch,
+    simulate_flow, simulate_flow_into, simulate_flow_into_scratch,
     simulate_flow_oracle_into_scratch, simulate_flow_scratch, FlowSpec, PathSpec,
 };
 pub use tcp_sim::sim::FlowScratch;

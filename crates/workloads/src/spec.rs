@@ -166,13 +166,6 @@ pub fn simulate_flow(
     FlowSim::new(flow_sim_config(spec, path, mechanism, seed), seed).run()
 }
 
-/// The synthetic [`FlowKey`] that [`simulate_flow`] assigns to a flow run
-/// with `seed` — for callers that materialize a trace themselves (e.g. by
-/// teeing a [`RecordSink`]) and want keys consistent with the default path.
-pub fn flow_key_for_seed(seed: u64) -> FlowKey {
-    FlowKey::synthetic((seed & 0xffff_ffff) as u32)
-}
-
 /// Simulate one flow while streaming every server-side record into `sink`
 /// instead of materializing a trace: the returned outcome's `trace` is
 /// empty; the records were consumed by (and are returned inside) the sink.

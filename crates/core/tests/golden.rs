@@ -8,9 +8,11 @@
 //!   little- and big-endian record framing (same frames);
 //! * `live-heavy.jsonl`: `tapo live <cap> --daemon-id golden`;
 //! * `live-promote.jsonl`: the same with `--promote 3`;
-//! * `offline.json`: `tapo <cap> --json`.
+//! * `offline.json`: `tapo <cap> --json`;
+//! * `fleet.jsonl`: `tapo fleet live-promote.jsonl`, the aggregator's
+//!   interval and summary records over the committed report stream.
 //!
-//! Both captures must give the same three outputs. On a mismatch the fresh
+//! Both captures must give the same three live and offline outputs. On a mismatch the fresh
 //! bytes are written under `CARGO_TARGET_TMPDIR/golden/` for inspection; a
 //! change that means to move the output copies them over the committed
 //! files in the same diff.
@@ -440,5 +442,8 @@ fn outputs_match_the_committed_golden_files() {
         problems.extend(check("live-promote.jsonl", &promote));
         problems.extend(check("offline.json", &tapo(&[cap, "--json"])));
     }
+    let reports = golden_dir().join("live-promote.jsonl");
+    let reports = reports.to_str().expect("UTF-8 path");
+    problems.extend(check("fleet.jsonl", &tapo(&["fleet", reports])));
     assert!(problems.is_empty(), "{}", problems.join("\n"));
 }

@@ -86,10 +86,7 @@ pub struct Observations {
 pub type AdviseError = ParseError;
 
 /// Fold one parsed interval's `by_port` slice into the per-service rollup.
-pub(crate) fn attribute_ports(
-    obs: &mut Observations,
-    by_port: &[(u16, crate::report::parse::PortCounts)],
-) {
+pub(crate) fn attribute_ports(obs: &mut Observations, by_port: &[(u16, crate::live::PortDelta)]) {
     for (port, p) in by_port {
         match Service::from_server_port(*port) {
             Some(service) => {
@@ -232,21 +229,15 @@ impl Record for ServiceAdvice {
     }
 
     fn json(&self) -> Json {
-        let effects = Json::Obj(
-            EFFECT_LABELS
-                .iter()
-                .zip(&self.effects)
-                .map(|(label, e)| {
-                    (
-                        label.to_string(),
-                        Json::obj([
-                            ("reduction", Json::from(round4(e.mean_reduction))),
-                            ("ci95", Json::from(round4(e.ci95))),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
+        let effects = Json::obj(EFFECT_LABELS.iter().zip(&self.effects).map(|(label, e)| {
+            (
+                *label,
+                Json::obj([
+                    ("reduction", Json::from(round4(e.mean_reduction))),
+                    ("ci95", Json::from(round4(e.ci95))),
+                ]),
+            )
+        }));
         Json::obj([
             ("kind", Json::from("advice")),
             ("service", Json::from(self.service.label())),

@@ -15,8 +15,8 @@ use workloads::Service;
 use crate::advise::{attribute_ports, Observations};
 use crate::causes::{RetransClass, StallClass};
 use crate::json::Json;
-use crate::live::{class_slug, retrans_slug};
-use crate::report::parse::{ParsedInterval, PortCounts};
+use crate::live::{breakdown_json, by_port_json, class_slug, merge_by_port, PortDelta};
+use crate::report::parse::ParsedInterval;
 use crate::sink::Record;
 
 use super::alerts::FleetAlert;
@@ -94,7 +94,7 @@ pub struct FleetInterval {
     /// Per retransmission subclass, indexed like [`RetransClass::ALL`].
     pub by_retrans: [(u64, u64); RetransClass::ALL.len()],
     /// Per-server-port fold, ascending port order.
-    pub by_port: Vec<(u16, PortCounts)>,
+    pub by_port: Vec<(u16, PortDelta)>,
     /// Merged RTT-sample sketch (empty when no input carried sketches).
     pub rtt_sketch: QSketch,
     /// Merged stall-duration sketch, same caveat.
@@ -113,70 +113,6 @@ impl FleetInterval {
     pub fn stall_share_us(&self) -> u64 {
         self.stalled_us / self.flows_finalized.max(1)
     }
-}
-
-/// The live breakdown shape, reassembled from the parsed class arrays so
-/// fleet records read like daemon records.
-fn breakdown_json(
-    stalls: u64,
-    stalled_us: u64,
-    by_cause: &[(u64, u64); StallClass::ALL.len()],
-    by_retrans: &[(u64, u64); RetransClass::ALL.len()],
-) -> Json {
-    let causes = Json::Obj(
-        StallClass::ALL
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| {
-                (
-                    class_slug(c).to_string(),
-                    Json::obj([
-                        ("n", Json::from(by_cause[i].0)),
-                        ("us", Json::from(by_cause[i].1)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let retrans = Json::Obj(
-        RetransClass::ALL
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| {
-                (
-                    retrans_slug(c).to_string(),
-                    Json::obj([
-                        ("n", Json::from(by_retrans[i].0)),
-                        ("us", Json::from(by_retrans[i].1)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    Json::obj([
-        ("stalls", Json::from(stalls)),
-        ("stalled_us", Json::from(stalled_us)),
-        ("by_cause", causes),
-        ("by_retrans", retrans),
-    ])
-}
-
-fn by_port_json(by_port: &[(u16, PortCounts)]) -> Json {
-    Json::Obj(
-        by_port
-            .iter()
-            .map(|(port, p)| {
-                (
-                    port.to_string(),
-                    Json::obj([
-                        ("flows", Json::from(p.flows)),
-                        ("stalls", Json::from(p.stalls)),
-                        ("stalled_us", Json::from(p.stalled_us)),
-                    ]),
-                )
-            })
-            .collect(),
-    )
 }
 
 /// Nearest-rank quantile summary of a merged sketch: the fleet record
@@ -345,7 +281,7 @@ pub struct FleetSummary {
     /// Per retransmission subclass, indexed like [`RetransClass::ALL`].
     pub by_retrans: [(u64, u64); RetransClass::ALL.len()],
     /// Whole-run per-port fold, ascending port order.
-    pub by_port: Vec<(u16, PortCounts)>,
+    pub by_port: Vec<(u16, PortDelta)>,
     /// Whole-run merged RTT sketch.
     pub rtt_sketch: QSketch,
     /// Whole-run merged stall-duration sketch.
@@ -407,22 +343,16 @@ impl Record for FleetSummary {
 
     fn json(&self) -> Json {
         let obs = self.observations();
-        let by_service = Json::Obj(
-            Service::ALL
-                .iter()
-                .zip(&obs.per_service)
-                .map(|(s, o)| {
-                    (
-                        s.label().to_string(),
-                        Json::obj([
-                            ("flows", Json::from(o.flows)),
-                            ("stalls", Json::from(o.stalls)),
-                            ("stalled_us", Json::from(o.stalled_us)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
+        let by_service = Json::obj(Service::ALL.iter().zip(&obs.per_service).map(|(s, o)| {
+            (
+                s.label(),
+                Json::obj([
+                    ("flows", Json::from(o.flows)),
+                    ("stalls", Json::from(o.stalls)),
+                    ("stalled_us", Json::from(o.stalled_us)),
+                ]),
+            )
+        }));
         Json::obj([
             ("kind", Json::from("fleet_summary")),
             ("buckets", Json::from(self.buckets)),
@@ -477,23 +407,6 @@ fn add_classes(into: &mut [(u64, u64)], from: &[(u64, u64)]) {
     }
 }
 
-/// Keyed sum of per-port counts into a list kept in ascending port order.
-fn add_ports(into: &mut Vec<(u16, PortCounts)>, from: &[(u16, PortCounts)]) {
-    for &(port, p) in from {
-        let at = match into.binary_search_by_key(&port, |&(q, _)| q) {
-            Ok(at) => at,
-            Err(at) => {
-                into.insert(at, (port, PortCounts::default()));
-                at
-            }
-        };
-        let e = &mut into[at].1;
-        e.flows += p.flows;
-        e.stalls += p.stalls;
-        e.stalled_us += p.stalled_us;
-    }
-}
-
 /// Per-(bucket, daemon) accumulator.
 #[derive(Debug, Default)]
 struct Acc {
@@ -501,7 +414,7 @@ struct Acc {
     by_cause: [(u64, u64); StallClass::ALL.len()],
     by_retrans: [(u64, u64); RetransClass::ALL.len()],
     /// Ascending port order.
-    by_port: Vec<(u16, PortCounts)>,
+    by_port: Vec<(u16, PortDelta)>,
     rtt: QSketch,
     stall: QSketch,
 }
@@ -515,7 +428,7 @@ impl Acc {
         self.slice.stalled_us += rec.stalled_us;
         add_classes(&mut self.by_cause, &rec.by_cause);
         add_classes(&mut self.by_retrans, &rec.by_retrans);
-        add_ports(&mut self.by_port, &rec.by_port);
+        merge_by_port(&mut self.by_port, &rec.by_port);
         if let Some(s) = &rec.rtt_sketch {
             self.rtt.merge(s);
         }
@@ -576,7 +489,7 @@ pub fn aggregate(records: &[ParsedInterval], skipped: u64, cfg: &FleetConfig) ->
             iv.stalled_us += acc.slice.stalled_us;
             add_classes(&mut iv.by_cause, &acc.by_cause);
             add_classes(&mut iv.by_retrans, &acc.by_retrans);
-            add_ports(&mut iv.by_port, &acc.by_port);
+            merge_by_port(&mut iv.by_port, &acc.by_port);
             iv.rtt_sketch.merge(&acc.rtt);
             iv.stall_sketch.merge(&acc.stall);
             iv.per_daemon.push((id.to_string(), acc.slice));
@@ -588,7 +501,7 @@ pub fn aggregate(records: &[ParsedInterval], skipped: u64, cfg: &FleetConfig) ->
         summary.stalled_us += iv.stalled_us;
         add_classes(&mut summary.by_cause, &iv.by_cause);
         add_classes(&mut summary.by_retrans, &iv.by_retrans);
-        add_ports(&mut summary.by_port, &iv.by_port);
+        merge_by_port(&mut summary.by_port, &iv.by_port);
         summary.rtt_sketch.merge(&iv.rtt_sketch);
         summary.stall_sketch.merge(&iv.stall_sketch);
 
@@ -634,7 +547,7 @@ mod tests {
             by_cause,
             by_port: vec![(
                 80,
-                PortCounts {
+                PortDelta {
                     flows,
                     stalls,
                     stalled_us,
@@ -728,7 +641,7 @@ mod tests {
             iv.by_port,
             vec![(
                 80,
-                PortCounts {
+                PortDelta {
                     flows: 20,
                     stalls: 2,
                     stalled_us: 10_000

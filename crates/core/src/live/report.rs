@@ -18,7 +18,7 @@ use super::shard::PortDelta;
 use crate::causes::{RetransClass, StallClass};
 use crate::fleet::sketch::QSketch;
 use crate::json::Json;
-use crate::report::StallBreakdown;
+use crate::report::{CauseStats, StallBreakdown};
 use crate::FlowAnalysis;
 
 /// Machine-friendly column/key slug for a stall class (labels carry dots
@@ -48,42 +48,45 @@ pub fn retrans_slug(class: RetransClass) -> &'static str {
     }
 }
 
-fn breakdown_json(b: &StallBreakdown) -> Json {
-    let by_cause = Json::Obj(
-        StallClass::ALL
-            .into_iter()
-            .map(|c| {
-                let (n, t) = b.cause_stats(c);
-                (
-                    class_slug(c).to_string(),
-                    Json::obj([("n", Json::from(n)), ("us", Json::from(t.as_micros()))]),
-                )
-            })
-            .collect(),
-    );
-    let by_retrans = Json::Obj(
-        RetransClass::ALL
-            .into_iter()
-            .map(|c| {
-                let (n, t) = b.retrans_stats(c);
-                (
-                    retrans_slug(c).to_string(),
-                    Json::obj([("n", Json::from(n)), ("us", Json::from(t.as_micros()))]),
-                )
-            })
-            .collect(),
-    );
+/// The `"breakdown"` section shared by daemon and fleet records: totals,
+/// then `{n, us}` per stall class and per retransmission subclass.
+pub(crate) fn breakdown_json(
+    stalls: u64,
+    stalled_us: u64,
+    by_cause: &[(u64, u64); StallClass::ALL.len()],
+    by_retrans: &[(u64, u64); RetransClass::ALL.len()],
+) -> Json {
+    let counts = |&(n, us): &(u64, u64)| Json::obj([("n", Json::from(n)), ("us", Json::from(us))]);
+    let by_cause = StallClass::ALL.into_iter().zip(by_cause);
+    let by_retrans = RetransClass::ALL.into_iter().zip(by_retrans);
     Json::obj([
-        ("stalls", Json::from(b.total_stalls)),
-        ("stalled_us", Json::from(b.total_stalled.as_micros())),
-        ("by_cause", by_cause),
-        ("by_retrans", by_retrans),
+        ("stalls", Json::from(stalls)),
+        ("stalled_us", Json::from(stalled_us)),
+        (
+            "by_cause",
+            Json::obj(by_cause.map(|(c, e)| (class_slug(c), counts(e)))),
+        ),
+        (
+            "by_retrans",
+            Json::obj(by_retrans.map(|(c, e)| (retrans_slug(c), counts(e)))),
+        ),
     ])
 }
 
+/// [`breakdown_json`] of a daemon's breakdown, durations in microseconds.
+fn stall_breakdown_json(b: &StallBreakdown) -> Json {
+    let us = |(n, t): CauseStats| (n, t.as_micros());
+    breakdown_json(
+        b.total_stalls,
+        b.total_stalled.as_micros(),
+        &StallClass::ALL.map(|c| us(b.cause_stats(c))),
+        &RetransClass::ALL.map(|c| us(b.retrans_stats(c))),
+    )
+}
+
 /// Per-server-port slice as a JSON object keyed by port number, in
-/// ascending port order (the list is kept sorted by construction).
-fn by_port_json(by_port: &[(u16, PortDelta)]) -> Json {
+/// ascending port order (the lists are kept sorted by construction).
+pub(crate) fn by_port_json(by_port: &[(u16, PortDelta)]) -> Json {
     Json::Obj(
         by_port
             .iter()
@@ -202,7 +205,7 @@ impl IntervalReport {
             ("promotions", Json::from(self.promotions)),
             ("demotions", Json::from(self.demotions)),
             ("live_stalls", Json::from(self.live_stalls)),
-            ("breakdown", breakdown_json(&self.breakdown)),
+            ("breakdown", stall_breakdown_json(&self.breakdown)),
             ("by_port", by_port_json(&self.by_port)),
         ];
         if let (Some(rtt), Some(stall)) = (&self.rtt_sketch, &self.stall_sketch) {
@@ -363,7 +366,7 @@ impl LiveSummary {
             ("demotions", Json::from(self.demotions)),
             ("promotions_denied", Json::from(self.promotions_denied)),
             ("max_heavy_flows", Json::from(self.max_heavy_flows)),
-            ("breakdown", breakdown_json(&self.breakdown)),
+            ("breakdown", stall_breakdown_json(&self.breakdown)),
             ("by_port", by_port_json(&self.by_port)),
         ];
         if let (Some(rtt), Some(stall)) = (&self.rtt_sketch, &self.stall_sketch) {

@@ -23,7 +23,7 @@ use crate::causes::{RetransClass, StallClass};
 use crate::fleet::read_reports;
 use crate::fleet::sketch::QSketch;
 use crate::json::{Cursor, JsonError};
-use crate::live::{class_slug, retrans_slug};
+use crate::live::{class_slug, retrans_slug, PortDelta};
 
 /// A malformed input line: where it was and what was wrong with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,17 +41,6 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-/// One server port's slice of an interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortCounts {
-    /// Flows finalized on this port.
-    pub flows: u64,
-    /// Stalls detected on this port.
-    pub stalls: u64,
-    /// Total stalled time on this port, microseconds.
-    pub stalled_us: u64,
-}
 
 /// One decoded `"kind":"interval"` record.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -79,7 +68,7 @@ pub struct ParsedInterval {
     /// [`RetransClass::ALL`].
     pub by_retrans: [(u64, u64); RetransClass::ALL.len()],
     /// Per-server-port slice, in the record's (ascending) order.
-    pub by_port: Vec<(u16, PortCounts)>,
+    pub by_port: Vec<(u16, PortDelta)>,
     /// The record's RTT-sample sketch, when the daemon emitted sketches.
     pub rtt_sketch: Option<QSketch>,
     /// The record's stall-duration sketch, same gating.
@@ -185,7 +174,7 @@ fn decode_breakdown(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Se
 /// malformed pair is the verdict.
 fn decode_ports(
     cur: &mut Cursor<'_>,
-    out: &mut Vec<(u16, PortCounts)>,
+    out: &mut Vec<(u16, PortDelta)>,
 ) -> Result<Section, JsonError> {
     if !cur.open_object()? {
         return Ok(Err("by_port is not an object".into()));
@@ -200,7 +189,7 @@ fn decode_ports(
             let field = |k: &str, v: Option<u64>| {
                 v.ok_or_else(|| format!("port {port}: missing or non-integer {k:?}"))
             };
-            let counts = PortCounts {
+            let counts = PortDelta {
                 flows: field("flows", flows)?,
                 stalls: field("stalls", stalls)?,
                 stalled_us: field("stalled_us", stalled_us)?,
@@ -323,7 +312,7 @@ pub fn parse_reports<R: BufRead>(input: R) -> Result<(Vec<ParsedInterval>, u64),
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::live::{DaemonId, IntervalReport, LiveSummary, PortDelta};
+    use crate::live::{DaemonId, IntervalReport, LiveSummary};
     use crate::report::StallBreakdown;
     use simnet::rng::splitmix64;
 
@@ -413,7 +402,7 @@ mod tests {
                 };
                 rec.by_port.push((
                     port,
-                    PortCounts {
+                    PortDelta {
                         flows: field("flows")?,
                         stalls: field("stalls")?,
                         stalled_us: field("stalled_us")?,
@@ -498,7 +487,7 @@ mod tests {
             rec.by_port,
             vec![(
                 80,
-                PortCounts {
+                PortDelta {
                     flows: 3,
                     stalls: 1,
                     stalled_us: 2_000_000

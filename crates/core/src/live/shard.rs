@@ -193,7 +193,8 @@ fn port_entry(list: &mut Vec<(u16, PortDelta)>, port: u16) -> &mut PortDelta {
 }
 
 /// Keyed commutative merge of two sorted per-port lists (the driver also
-/// uses this to fold interval slices into the run summary).
+/// uses this to fold interval slices into the run summary, and `tapo
+/// fleet` to fold records into buckets).
 pub fn merge_by_port(dst: &mut Vec<(u16, PortDelta)>, src: &[(u16, PortDelta)]) {
     for (port, d) in src {
         port_entry(dst, *port).merge(d);

@@ -93,8 +93,8 @@ pub use config::{
 pub use fnv::{cell_of, FnvHasher};
 pub use lru::LruList;
 pub use monitor::{FlowMonitor, LightTable, MonitorSeed, TierConfig, Verdict};
-pub(crate) use report::{breakdown_json, by_port_json};
 pub use report::{class_slug, retrans_slug, IntervalReport, LiveSummary};
+pub(crate) use report::{write_breakdown, write_by_port};
 pub use shard::{
     merge_by_port, shard_worker, EngineParams, EngineTotals, IntervalDelta, PortDelta, ShardEngine,
     ShardMsg, Work,

@@ -1,8 +1,10 @@
 //! Aggregation across flows: cause shares by count and stalled time
 //! (Tables 3 & 5), CDF construction (Figs. 1, 3, 6, 7, 10–12), and
 //! quantiles (Table 8). The [`parse`] submodule is the shared reader for
-//! the JSON-lines report streams the live pipeline emits.
+//! the JSON-lines report streams the live pipeline emits, and `key` names
+//! the report keys that reader and the writers share.
 
+pub(crate) mod key;
 pub mod parse;
 
 use simnet::time::SimDuration;

@@ -24,6 +24,7 @@ use crate::fleet::read_reports;
 use crate::fleet::sketch::QSketch;
 use crate::json::{Cursor, JsonError};
 use crate::live::{class_slug, retrans_slug, PortDelta};
+use crate::report::key;
 
 /// A malformed input line: where it was and what was wrong with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,11 +121,11 @@ fn decode_classes(
             cur.skip_value()?;
             continue;
         };
-        let [n, us] = u64_fields(cur, ["n", "us"])?;
+        let [n, us] = u64_fields(cur, [key::N, key::US])?;
         let field = |k: &str, v: Option<u64>| {
             v.ok_or_else(|| format!("breakdown {:?}: missing or non-integer {k:?}", &*slug))
         };
-        match (|| Ok((field("n", n)?, field("us", us)?)))() {
+        match (|| Ok((field(key::N, n)?, field(key::US, us)?)))() {
             Ok(stats) => out[i] = stats,
             Err(e) => verdict = verdict.and(Err(e)),
         }
@@ -140,20 +141,20 @@ fn decode_breakdown(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Se
     let (mut by_cause, mut by_retrans) = (None, None);
     while let Some(key) = cur.key()? {
         match &*key {
-            "stalls" => cur.first(&mut stalls, Cursor::u64_or_skip)?,
-            "stalled_us" => cur.first(&mut stalled_us, Cursor::u64_or_skip)?,
-            "by_cause" => cur.first(&mut by_cause, |cur| {
+            key::STALLS => cur.first(&mut stalls, Cursor::u64_or_skip)?,
+            key::STALLED_US => cur.first(&mut stalled_us, Cursor::u64_or_skip)?,
+            key::BY_CAUSE => cur.first(&mut by_cause, |cur| {
                 let index_of =
                     |slug: &str| StallClass::ALL.iter().position(|c| class_slug(*c) == slug);
-                decode_classes(cur, "by_cause", index_of, &mut rec.by_cause)
+                decode_classes(cur, key::BY_CAUSE, index_of, &mut rec.by_cause)
             })?,
-            "by_retrans" => cur.first(&mut by_retrans, |cur| {
+            key::BY_RETRANS => cur.first(&mut by_retrans, |cur| {
                 let index_of = |slug: &str| {
                     RetransClass::ALL
                         .iter()
                         .position(|c| retrans_slug(*c) == slug)
                 };
-                decode_classes(cur, "by_retrans", index_of, &mut rec.by_retrans)
+                decode_classes(cur, key::BY_RETRANS, index_of, &mut rec.by_retrans)
             })?,
             _ => cur.skip_value()?,
         }
@@ -163,8 +164,8 @@ fn decode_breakdown(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Se
             .ok_or_else(|| format!("breakdown: missing or non-integer {k:?}"))
     };
     Ok((|| {
-        rec.stalls = field("stalls", stalls)?;
-        rec.stalled_us = field("stalled_us", stalled_us)?;
+        rec.stalls = field(key::STALLS, stalls)?;
+        rec.stalled_us = field(key::STALLED_US, stalled_us)?;
         by_cause.unwrap_or(Ok(()))?;
         by_retrans.unwrap_or(Ok(()))
     })())
@@ -181,7 +182,8 @@ fn decode_ports(
     }
     let mut verdict = Ok(());
     while let Some(key) = cur.key()? {
-        let [flows, stalls, stalled_us] = u64_fields(cur, ["flows", "stalls", "stalled_us"])?;
+        let [flows, stalls, stalled_us] =
+            u64_fields(cur, [key::FLOWS, key::STALLS, key::STALLED_US])?;
         let pair = || {
             let port: u16 = key
                 .parse()
@@ -190,9 +192,9 @@ fn decode_ports(
                 v.ok_or_else(|| format!("port {port}: missing or non-integer {k:?}"))
             };
             let counts = PortDelta {
-                flows: field("flows", flows)?,
-                stalls: field("stalls", stalls)?,
-                stalled_us: field("stalled_us", stalled_us)?,
+                flows: field(key::FLOWS, flows)?,
+                stalls: field(key::STALLS, stalls)?,
+                stalled_us: field(key::STALLED_US, stalled_us)?,
             };
             Ok((port, counts))
         };
@@ -207,10 +209,10 @@ fn decode_ports(
 fn decode_sketches(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Section, JsonError> {
     let (mut rtt, mut stall) = (None, None);
     if cur.open_object()? {
-        while let Some(key) = cur.key()? {
-            match &*key {
-                "rtt_us" => cur.first(&mut rtt, QSketch::decode)?,
-                "stall_us" => cur.first(&mut stall, QSketch::decode)?,
+        while let Some(name) = cur.key()? {
+            match &*name {
+                key::RTT_US => cur.first(&mut rtt, QSketch::decode)?,
+                key::STALL_US => cur.first(&mut stall, QSketch::decode)?,
                 _ => cur.skip_value()?,
             }
         }
@@ -220,8 +222,8 @@ fn decode_sketches(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Sec
             .ok_or_else(|| format!("sketches: malformed {k:?}"))
     };
     Ok((|| {
-        rec.rtt_sketch = Some(sketch("rtt_us", rtt)?);
-        rec.stall_sketch = Some(sketch("stall_us", stall)?);
+        rec.rtt_sketch = Some(sketch(key::RTT_US, rtt)?);
+        rec.stall_sketch = Some(sketch(key::STALL_US, stall)?);
         Ok(())
     })())
 }
@@ -240,23 +242,23 @@ fn decode_line(line: &str) -> Result<Result<Option<ParsedInterval>, String>, Jso
     let (mut interval, mut start_us, mut end_us) = (None, None, None);
     let (mut packets, mut flows_finalized) = (None, None);
     let (mut breakdown, mut by_port, mut sketches) = (None, None, None);
-    while let Some(key) = cur.key()? {
-        match &*key {
-            "kind" => cur.first(&mut kind, Cursor::str_or_skip)?,
-            "daemon" => cur.first(&mut daemon, Cursor::str_or_skip)?,
-            "interval" => cur.first(&mut interval, Cursor::u64_or_skip)?,
-            "start_us" => cur.first(&mut start_us, Cursor::u64_or_skip)?,
-            "end_us" => cur.first(&mut end_us, Cursor::u64_or_skip)?,
-            "packets" => cur.first(&mut packets, Cursor::u64_or_skip)?,
-            "flows_finalized" => cur.first(&mut flows_finalized, Cursor::u64_or_skip)?,
-            "breakdown" => cur.first(&mut breakdown, |cur| decode_breakdown(cur, &mut rec))?,
-            "by_port" => cur.first(&mut by_port, |cur| decode_ports(cur, &mut rec.by_port))?,
-            "sketches" => cur.first(&mut sketches, |cur| decode_sketches(cur, &mut rec))?,
+    while let Some(name) = cur.key()? {
+        match &*name {
+            key::KIND => cur.first(&mut kind, Cursor::str_or_skip)?,
+            key::DAEMON => cur.first(&mut daemon, Cursor::str_or_skip)?,
+            key::INTERVAL => cur.first(&mut interval, Cursor::u64_or_skip)?,
+            key::START_US => cur.first(&mut start_us, Cursor::u64_or_skip)?,
+            key::END_US => cur.first(&mut end_us, Cursor::u64_or_skip)?,
+            key::PACKETS => cur.first(&mut packets, Cursor::u64_or_skip)?,
+            key::FLOWS_FINALIZED => cur.first(&mut flows_finalized, Cursor::u64_or_skip)?,
+            key::BREAKDOWN => cur.first(&mut breakdown, |cur| decode_breakdown(cur, &mut rec))?,
+            key::BY_PORT => cur.first(&mut by_port, |cur| decode_ports(cur, &mut rec.by_port))?,
+            key::SKETCHES => cur.first(&mut sketches, |cur| decode_sketches(cur, &mut rec))?,
             _ => cur.skip_value()?,
         }
     }
     cur.finish()?;
-    if kind.flatten().as_deref() != Some("interval") {
+    if kind.flatten().as_deref() != Some(key::KIND_INTERVAL) {
         return Ok(Ok(None));
     }
     for section in [breakdown, by_port, sketches].into_iter().flatten() {

@@ -12,7 +12,7 @@
 
 use std::io::{self, Write};
 
-use crate::json::Json;
+use crate::json::{Json, Out};
 
 /// One fixed-shape record: a stable CSV header, one rendered CSV row, and
 /// the same data as a single JSON object.
@@ -25,8 +25,15 @@ pub trait Record {
     /// This record as one CSV row matching [`Record::header`]. Cells
     /// needing quoting must already be escaped (see [`csv_escape`]).
     fn csv(&self) -> String;
-    /// This record as one JSON object.
-    fn json(&self) -> Json;
+    /// Encode this record as one JSON object into `out`.
+    fn write_json(&self, out: &mut Out);
+    /// This record as one JSON object: the compact line
+    /// [`Record::write_json`] encodes, as a [`Json::Raw`].
+    fn json(&self) -> Json {
+        let mut out = Out::new();
+        self.write_json(&mut out);
+        Json::Raw(out.into_string())
+    }
 }
 
 /// Where fixed-shape records go. Implementations decide the rendering;
@@ -40,22 +47,30 @@ pub trait ReportSink {
     }
 }
 
-/// JSON-lines: each record rendered as one compact JSON object per line.
+/// JSON-lines: each record encoded as one compact JSON object per line.
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write> {
     out: W,
+    /// The line being encoded, reused: once it has grown to the longest
+    /// record, a line costs no allocation.
+    line: Out,
 }
 
 impl<W: Write> JsonLinesSink<W> {
     /// A sink writing JSON-lines to `out`.
     pub fn new(out: W) -> Self {
-        JsonLinesSink { out }
+        JsonLinesSink {
+            out,
+            line: Out::new(),
+        }
     }
 }
 
 impl<W: Write> ReportSink for JsonLinesSink<W> {
     fn emit(&mut self, rec: &dyn Record) -> io::Result<()> {
-        writeln!(self.out, "{}", rec.json().compact())
+        self.line.clear();
+        rec.write_json(&mut self.line);
+        self.out.write_all(self.line.end_line())
     }
     fn finish(&mut self) -> io::Result<()> {
         self.out.flush()
@@ -176,8 +191,11 @@ mod tests {
         fn csv(&self) -> String {
             format!("{},{}", self.0, self.0 * 2)
         }
-        fn json(&self) -> Json {
-            Json::obj([("a", Json::from(self.0)), ("b", Json::from(self.0 * 2))])
+        fn write_json(&self, out: &mut Out) {
+            out.begin_object();
+            out.key("a").u64(self.0);
+            out.key("b").u64(self.0 * 2);
+            out.end_object();
         }
     }
 

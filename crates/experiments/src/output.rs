@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use tapo::json::Json;
+use tapo::json::{Json, Out};
 use tapo::sink::{csv_escape, CsvSink, Record, ReportSink};
 
 /// One table row as a fixed-shape [`Record`], so tables flow through the
@@ -30,14 +30,12 @@ impl Record for TableRow<'_> {
             .collect::<Vec<_>>()
             .join(",")
     }
-    fn json(&self) -> Json {
-        Json::Obj(
-            self.header
-                .iter()
-                .zip(self.cells)
-                .map(|(h, c)| (h.clone(), Json::from(c.clone())))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut Out) {
+        out.begin_object();
+        for (h, c) in self.header.iter().zip(self.cells) {
+            out.escaped_key(h).str(c);
+        }
+        out.end_object();
     }
 }
 

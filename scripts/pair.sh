@@ -2,13 +2,17 @@
 # Paired benchmark runs: a parent revision's benchmark against the working
 # tree's, on one workload and seed.
 #
-#   scripts/pair.sh <parent-rev> <workload> [--seed N] [--pairs N]
+#   scripts/pair.sh <parent-rev> <workload> [--seed N] [--pairs N] [--trace]
 #
 # The parent's benchmark is built in a temporary git worktree under
 # target/pair/ (removed on exit), the change's from the working tree. Each
 # pair runs both sides with `--seconds 15 --trace 0`, alternating which side
 # goes first. Every result line is appended to
 # target/pair/<workload>-s<seed>.jsonl, tagged with its side and pair number.
+# With --trace the runs use `--trace 1` instead, their lines go to
+# target/pair/<workload>-s<seed>-trace.jsonl, and the per-layer metrics of
+# BENCHMARK.json are judged the same way as the end-to-end ones (a traced
+# run prints only per-layer metrics).
 # At the end, for each end-to-end metric in BENCHMARK.json: the parent's and
 # the change's median and quartiles, the change/parent ratio of medians, how
 # far apart the medians are in units of the parent's interquartile range,
@@ -19,7 +23,7 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/pair.sh <parent-rev> <workload> [--seed N] [--pairs N]" >&2
+    echo "usage: scripts/pair.sh <parent-rev> <workload> [--seed N] [--pairs N] [--trace]" >&2
     exit 2
 }
 
@@ -29,10 +33,12 @@ workload=$2
 shift 2
 seed=7
 pairs=10
+trace=0
 while [ $# -gt 0 ]; do
     case $1 in
     --seed) [ $# -ge 2 ] || usage; seed=$2; shift 2 ;;
     --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
+    --trace) trace=1; shift ;;
     *) usage ;;
     esac
 done
@@ -43,6 +49,7 @@ out=target/pair
 mkdir -p "$out"
 tree=$out/parent-$$
 log=$out/$workload-s$seed.jsonl
+if ((trace)); then log=$out/$workload-s$seed-trace.jsonl; fi
 runs=$out/runs-$$.jsonl
 
 cleanup() {
@@ -63,7 +70,7 @@ run() { # run <side> <pair>
     local bin line
     if [ "$1" = parent ]; then bin=$parent_bin; else bin=$change_bin; fi
     # A failed output check exits non-zero but still prints its result line.
-    line=$("$bin" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 | tail -n 1) || true
+    line=$("$bin" --workload "$workload" --seed "$seed" --seconds 15 --trace "$trace" | tail -n 1) || true
     case $line in
     '{'*) ;;
     *) echo "$1 run of pair $2 printed no result line" >&2; exit 1 ;;
@@ -82,19 +89,25 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
-echo "$workload, seed $seed, $pairs pairs: $rev against the working tree"
-awk '
-# Pass 1: BENCHMARK.json, joined and stripped of blanks, gives the
-# end-to-end metric names and their "better" direction in file order.
+sections=end_to_end
+if ((trace)); then sections="end_to_end per_layer"; fi
+echo "$workload, seed $seed, $pairs pairs$( ((trace)) && echo ', traced'): $rev against the working tree"
+awk -v sections="$sections" '
+# Pass 1: BENCHMARK.json, joined and stripped of blanks, gives the metric
+# names of each section in `sections` and their "better" direction, in
+# file order.
 FNR == NR { spec = spec $0; next }
 FNR == 1 {
     gsub(/[ \t\r]/, "", spec)
-    spec = substr(spec, index(spec, "\"end_to_end\":["))
-    spec = substr(spec, 1, index(spec, "]"))
-    n = split(spec, entries, "}")
-    for (i = 1; i <= n; i++) {
-        name = field(entries[i], "name")
-        if (name != "") { metric[++nm] = name; better[name] = field(entries[i], "better") }
+    ns = split(sections, section, " ")
+    for (s = 1; s <= ns; s++) {
+        list = substr(spec, index(spec, "\"" section[s] "\":["))
+        list = substr(list, 1, index(list, "]"))
+        n = split(list, entries, "}")
+        for (i = 1; i <= n; i++) {
+            name = field(entries[i], "name")
+            if (name != "") { metric[++nm] = name; better[name] = field(entries[i], "better") }
+        }
     }
 }
 # Pass 2: the result lines of this invocation.
@@ -116,7 +129,7 @@ FNR == 1 {
     if (pair + 0 > maxpair) maxpair = pair + 0
 }
 END {
-    printf "%-20s %-34s %-34s %7s %8s %6s\n", "metric", "parent median [q1, q3]", \
+    printf "%-36s %-34s %-34s %7s %8s %6s\n", "metric", "parent median [q1, q3]", \
         "change median [q1, q3]", "ratio", "gap/IQR", "won"
     for (m = 1; m <= nm; m++) {
         name = metric[m]
@@ -132,7 +145,7 @@ END {
         pm = quantile(pv, np, 0.5); cm = quantile(cv, nc, 0.5)
         iqr = quantile(pv, np, 0.75) - quantile(pv, np, 0.25)
         gap = cm - pm; if (gap < 0) gap = -gap
-        printf "%-20s %-34s %-34s %7s %8s %6s\n", name, \
+        printf "%-36s %-34s %-34s %7s %8s %6s\n", name, \
             sprintf("%.6g [%.6g, %.6g]", pm, quantile(pv, np, 0.25), quantile(pv, np, 0.75)), \
             sprintf("%.6g [%.6g, %.6g]", cm, quantile(cv, nc, 0.25), quantile(cv, nc, 0.75)), \
             (pm != 0 ? sprintf("%.3f", cm / pm) : "-"), \

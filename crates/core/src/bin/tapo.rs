@@ -1,124 +1,18 @@
 //! `tapo` — the TCP stall diagnosis tool, as a command line.
 //!
-//! The offline workflow of the paper: point it at a classic-pcap capture
-//! from a server (header-only captures are fine) and get per-flow stall
-//! diagnoses and an aggregate breakdown.
-//!
-//! ```text
-//! tapo <capture.pcap>... [--flows] [--stalls] [--json] [--dump]
-//!                        [--min-stall MS] [--mss BYTES] [--dupthres N]
-//!                        [--threads N]
-//!
-//!   --flows         per-flow summary table, worst stalled first
-//!   --stalls        print every stall (time, duration, cause, context)
-//!   --json          machine-readable output (one JSON document)
-//!   --dump          print every packet, tcpdump-style
-//!   --min-stall MS  only report stalls at least this long
-//!   --mss BYTES     analyzer MSS assumption        (default 1448)
-//!   --dupthres N    analyzer dupack threshold      (default 3)
-//!   --threads N     analysis worker threads (default: all cores; the
-//!                   output is identical at any thread count)
-//! ```
-//!
-//! The live (daemon) mode streams a capture — file, FIFO, or `-` for stdin
-//! — through the sharded bounded-memory pipeline, emitting one report line
-//! per interval and a final summary:
-//!
-//! ```text
-//! tapo live <capture.pcap|-> [--shards N] [--cells N] [--batch N]
-//!           [--ring N] [--interval MS] [--idle MS] [--linger MS]
-//!           [--max-flows N] [--promote N] [--demote N] [--heavy-max N]
-//!           [--per-shard] [--csv] [--pace X] [--mss BYTES] [--dupthres N]
-//!           [--daemon-id ID] [--sketch on|off]
-//!
-//!   --shards N      worker shards, each owning its slice of the flow
-//!                   space (default 1: the inline engine, until a shard
-//!                   count wins a measurement; output is byte-identical
-//!                   at any shard count)
-//!   --cells N       virtual flow cells — the shard-count-independent
-//!                   unit of flow ownership and cap splitting (default 64)
-//!   --batch N       most packets per ingestion batch (default 256) — a
-//!                   cap, not a quorum: a batch holds what the input has
-//!                   delivered; output is byte-identical at any value
-//!   --ring N        driver→shard work-ring depth in batch buffers
-//!                   (default 8)
-//!   --interval MS   reporting interval in capture time   (default 1000)
-//!   --idle MS       idle-flow eviction timeout, 0 = off  (default 60000)
-//!   --linger MS     FIN/RST linger before finalize, 0 = off (default 1000)
-//!   --max-flows N   hard cap on tracked flows, 0 = unbounded (default 0)
-//!   --promote N     two-tier mode: track every flow in a compact light
-//!                   tier, promote to a full analyzer after N dup-ACKs
-//!                   (or a retransmission burst / RTO-scale ACK silence /
-//!                   zero window); off by default = every flow heavy
-//!   --demote N      demote a heavy flow after N consecutive calm packets
-//!                   (0 = never; default 256; requires --promote)
-//!   --heavy-max N   global cap on concurrently heavy flows, 0 = unbounded
-//!                   (default 4096; requires --promote)
-//!   --per-shard     include per-shard occupancy in reports
-//!   --csv           CSV reports instead of JSON-lines (summary → stderr)
-//!   --pace X        replay at X× capture time (1.0 = real time)
-//!   --daemon-id ID  stamp every report with this daemon id (1..=40 chars
-//!                   of [A-Za-z0-9._:-]; default: a stable hash of the
-//!                   capture path, or "local" for stdin)
-//!   --sketch on|off mergeable RTT / stall-duration quantile sketches in
-//!                   the JSON reports (default on; fleet mode merges them)
-//! ```
-//!
-//! The advise mode closes the loop: feed the live mode's JSON-lines
-//! reports back in and get a per-service mitigation recommendation from a
-//! counterfactual replay under all four recovery mechanisms:
-//!
-//! ```text
-//! tapo advise <reports.jsonl|-> [--flows N] [--replicates N] [--seed N]
-//!             [--threads N] [--min-stalled-us N] [--csv]
-//!
-//!   --flows N          simulated flows per replicate      (default 30)
-//!   --replicates N     seeded replicates per service      (default 5)
-//!   --seed N           replay master seed                 (default 1)
-//!   --threads N        worker threads (default: all cores; output is
-//!                      byte-identical at any thread count)
-//!   --min-stalled-us N only advise services with at least this much
-//!                      observed stalled time              (default 1)
-//!   --csv              CSV recommendations instead of JSON-lines
-//! ```
-//!
-//! The fleet mode aggregates report streams from *many* live daemons into
-//! fleet-wide time buckets, merges their sketches and per-service shares,
-//! and flags stall-share drift — deterministically: the output is
-//! byte-identical regardless of input order, file-vs-stdin ingestion, or
-//! thread count:
-//!
-//! ```text
-//! tapo fleet [reports.jsonl...|-] [--bucket MS] [--threads N] [--csv]
-//!            [--warmup N] [--drift PCT] [--daemon-drift PCT]
-//!            [--min-share-us N] [--advise] [--flows N] [--replicates N]
-//!            [--seed N] [--min-stalled-us N]
-//!
-//!   reports...         one stream per daemon (files or FIFOs), or a
-//!                      single '-' / no argument for a stdin multiplex —
-//!                      records carry daemon ids, so interleaving is fine
-//!   --bucket MS        fleet bucket width in capture time (default 1000)
-//!   --threads N        parse worker threads (default: all cores; output
-//!                      is byte-identical at any thread count)
-//!   --warmup N         buckets that only feed the drift EWMA (default 3)
-//!   --drift PCT        fleet share must exceed its EWMA baseline by this
-//!                      percentage to alert                 (default 50)
-//!   --daemon-drift PCT a daemon's share must exceed the fleet share by
-//!                      this percentage to alert            (default 100)
-//!   --min-share-us N   stall-share noise floor, µs/flow  (default 1000)
-//!   --advise           run the counterfactual advisor on the merged
-//!                      per-service populations (accepts the advise
-//!                      flags: --flows, --replicates, --seed,
-//!                      --min-stalled-us)
-//!   --csv              CSV fleet intervals on stdout (alerts as CSV on
-//!                      stderr, summary/advice as JSON on stderr)
-//! ```
+//! Four commands: offline diagnosis of captures (`tapo <capture.pcap>...`),
+//! the streaming daemon (`tapo live`), the mitigation advisor (`tapo
+//! advise`) and the multi-daemon aggregator (`tapo fleet`). Each lists its
+//! flags with `--help`; the help texts below are the one place they are
+//! documented.
 
 use std::fs::File;
 use std::io::{self, BufReader, Write};
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use simnet::cli::Args;
 use tapo::json::Json;
 use tapo::live::{self, DaemonId, LiveConfig};
 use tapo::sink::{CsvSink, JsonLinesSink, ReportSink};
@@ -128,6 +22,147 @@ use tapo::{
 };
 use tcp_trace::flow::FlowTrace;
 use tcp_trace::pcap::{PcapReader, PcapStats};
+
+const HELP: &str = "\
+usage: tapo <capture.pcap>... [--flows] [--stalls] [--json] [--dump]
+                              [--min-stall MS] [--mss BYTES] [--dupthres N]
+                              [--threads N]
+
+The offline workflow of the paper: point it at classic-pcap captures from
+a server (header-only captures are fine) and get per-flow stall diagnoses
+and an aggregate breakdown.
+
+  --flows         per-flow summary table, worst stalled first
+  --stalls        print every stall (time, duration, cause, context)
+  --json          machine-readable output (one JSON document)
+  --dump          print every packet, tcpdump-style
+  --min-stall MS  only report stalls at least this long
+  --mss BYTES     analyzer MSS assumption        (default 1448)
+  --dupthres N    analyzer dupack threshold      (default 3)
+  --threads N     analysis worker threads (default: all cores; the
+                  output is identical at any thread count)
+
+The other commands, `tapo live`, `tapo advise` and `tapo fleet`, each
+take --help too.
+";
+
+const LIVE_HELP: &str = "\
+usage: tapo live <capture.pcap|-> [--shards N] [--cells N] [--batch N]
+                 [--interval MS] [--idle MS] [--linger MS] [--max-flows N]
+                 [--promote N] [--demote N] [--heavy-max N] [--per-shard]
+                 [--csv] [--pace X] [--mss BYTES] [--dupthres N]
+                 [--daemon-id ID] [--sketch on|off]
+
+The daemon mode: stream a capture (file, FIFO, or `-` for stdin) through
+the sharded bounded-memory pipeline, emitting one report line per
+interval and a final summary.
+
+  --shards N      worker shards, each owning its slice of the flow
+                  space (default 1: the inline engine, until a shard
+                  count wins a measurement; output is byte-identical
+                  at any shard count)
+  --cells N       virtual flow cells — the shard-count-independent
+                  unit of flow ownership and cap splitting (default 64)
+  --batch N       most packets per ingestion batch (default 256) — a
+                  cap, not a quorum: a batch holds what the input has
+                  delivered; output is byte-identical at any value
+  --interval MS   reporting interval in capture time   (default 1000)
+  --idle MS       idle-flow eviction timeout, 0 = off  (default 60000)
+  --linger MS     FIN/RST linger before finalize, 0 = off (default 1000)
+  --max-flows N   hard cap on tracked flows, 0 = unbounded (default 0)
+  --promote N     two-tier mode: track every flow in a compact light
+                  tier, promote to a full analyzer after N dup-ACKs
+                  (or a retransmission burst / RTO-scale ACK silence /
+                  zero window); off by default = every flow heavy
+  --demote N      demote a heavy flow after N consecutive calm packets
+                  (0 = never; default 256; requires --promote)
+  --heavy-max N   global cap on concurrently heavy flows, 0 = unbounded
+                  (default 4096; requires --promote)
+  --per-shard     include per-shard occupancy in reports
+  --csv           CSV reports instead of JSON-lines (summary → stderr)
+  --pace X        replay at X× capture time (1.0 = real time)
+  --mss BYTES     analyzer MSS assumption        (default 1448)
+  --dupthres N    analyzer dupack threshold      (default 3)
+  --daemon-id ID  stamp every report with this daemon id (1..=40 chars
+                  of [A-Za-z0-9._:-]; default: a stable hash of the
+                  capture path, or \"local\" for stdin)
+  --sketch on|off mergeable RTT / stall-duration quantile sketches in
+                  the JSON reports (default on; fleet mode merges them)
+";
+
+/// The counterfactual-replay flags `tapo advise` and `tapo fleet
+/// --advise` share; [`advise_flag`] parses them.
+macro_rules! advise_flags_help {
+    () => {
+        "  --flows N          simulated flows per replicate      (default 30)
+  --replicates N     seeded replicates per service      (default 5)
+  --seed N           replay master seed                 (default 1)
+  --min-stalled-us N only advise services with at least this much
+                     observed stalled time              (default 1)
+"
+    };
+}
+
+const ADVISE_HELP: &str = concat!(
+    "\
+usage: tapo advise <reports.jsonl|-> [--flows N] [--replicates N] [--seed N]
+                   [--threads N] [--min-stalled-us N] [--csv]
+
+Close the loop: feed the live mode's JSON-lines reports back in and get a
+per-service mitigation recommendation from a counterfactual replay under
+all four recovery mechanisms.
+
+",
+    advise_flags_help!(),
+    "  --threads N        worker threads (default: all cores; output is
+                     byte-identical at any thread count)
+  --csv              CSV recommendations instead of JSON-lines
+"
+);
+
+const FLEET_HELP: &str = concat!(
+    "\
+usage: tapo fleet [reports.jsonl...|-] [--bucket MS] [--threads N] [--csv]
+                  [--warmup N] [--drift PCT] [--daemon-drift PCT]
+                  [--min-share-us N] [--advise] [--flows N] [--replicates N]
+                  [--seed N] [--min-stalled-us N]
+
+Aggregate report streams from many live daemons into fleet-wide time
+buckets, merge their sketches and per-service shares, and flag
+stall-share drift. The output is byte-identical regardless of input
+order, file-vs-stdin ingestion, or thread count.
+
+  reports...         one stream per daemon (files or FIFOs), or a
+                     single '-' / no argument for a stdin multiplex —
+                     records carry daemon ids, so interleaving is fine
+  --bucket MS        fleet bucket width in capture time (default 1000)
+  --threads N        parse worker threads (default: all cores; output
+                     is byte-identical at any thread count)
+  --warmup N         buckets that only feed the drift EWMA (default 3)
+  --drift PCT        fleet share must exceed its EWMA baseline by this
+                     percentage to alert                 (default 50)
+  --daemon-drift PCT a daemon's share must exceed the fleet share by
+                     this percentage to alert            (default 100)
+  --min-share-us N   stall-share noise floor, µs/flow  (default 1000)
+  --csv              CSV fleet intervals on stdout (alerts as CSV on
+                     stderr, summary/advice as JSON on stderr)
+  --advise           run the counterfactual advisor on the merged
+                     per-service populations, under these flags:
+",
+    advise_flags_help!()
+);
+
+/// Apply one of the [`advise_flags_help`] flags to `cfg`; any other flag
+/// is unknown.
+fn advise_flag(cli: &mut Args, flag: &str, cfg: &mut AdviseConfig) {
+    match flag {
+        "--flows" => cfg.flows = cli.value(flag, "N"),
+        "--replicates" => cfg.replicates = cli.value(flag, "N"),
+        "--seed" => cfg.seed = cli.value(flag, "N"),
+        "--min-stalled-us" => cfg.min_stalled_us = cli.value(flag, "microseconds"),
+        _ => cli.unknown(flag),
+    }
+}
 
 struct Options {
     files: Vec<PathBuf>,
@@ -140,7 +175,8 @@ struct Options {
     cfg: AnalyzerConfig,
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
+fn parse_args(args: impl Iterator<Item = String>) -> Options {
+    let mut cli = Args::new("tapo", HELP, args);
     let mut opts = Options {
         files: Vec::new(),
         show_flows: false,
@@ -151,54 +187,24 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         threads: 0,
         cfg: AnalyzerConfig::default(),
     };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
             "--flows" => opts.show_flows = true,
             "--stalls" => opts.show_stalls = true,
             "--json" => opts.json = true,
             "--dump" => opts.dump = true,
-            "--min-stall" => {
-                opts.min_stall_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--min-stall requires milliseconds")?;
-            }
-            "--mss" => {
-                opts.cfg.replay.mss = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--mss requires bytes")?;
-            }
-            "--dupthres" => {
-                opts.cfg.replay.dupthres = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--dupthres requires N")?;
-            }
-            "--threads" => {
-                opts.threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--threads requires N")?;
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: tapo <capture.pcap>... [--flows] [--stalls] [--json] \
-                            [--dump] [--min-stall MS] [--mss BYTES] [--dupthres N] \
-                            [--threads N]"
-                        .into(),
-                );
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other} (try --help)"));
-            }
-            file => opts.files.push(PathBuf::from(file)),
+            "--min-stall" => opts.min_stall_ms = cli.value(&flag, "milliseconds"),
+            "--mss" => opts.cfg.replay.mss = cli.value(&flag, "bytes"),
+            "--dupthres" => opts.cfg.replay.dupthres = cli.value(&flag, "N"),
+            "--threads" => opts.threads = cli.value(&flag, "N"),
+            _ => cli.unknown(&flag),
         }
     }
+    opts.files = cli.positionals().into_iter().map(PathBuf::from).collect();
     if opts.files.is_empty() {
-        return Err("no capture file given (try --help)".into());
+        cli.fail("no capture file given");
     }
-    Ok(opts)
+    opts
 }
 
 /// Exit status after `command` failed to write its results. A closed
@@ -215,25 +221,16 @@ fn write_failed(command: &str, e: &io::Error) -> u8 {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("live") {
-        args.next();
-        return run_live(args);
+    match args.peek().map(String::as_str) {
+        Some("live") => run_live(args.skip(1)),
+        Some("advise") => run_advise(args.skip(1)),
+        Some("fleet") => run_fleet(args.skip(1)),
+        _ => run_offline(args),
     }
-    if args.peek().map(String::as_str) == Some("advise") {
-        args.next();
-        return run_advise(args);
-    }
-    if args.peek().map(String::as_str) == Some("fleet") {
-        args.next();
-        return run_fleet(args);
-    }
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
+}
+
+fn run_offline(args: impl Iterator<Item = String>) -> ExitCode {
+    let opts = parse_args(args);
 
     let mut flows: Vec<FlowTrace> = Vec::new();
     let mut stats = PcapStats::default();
@@ -290,52 +287,19 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_advise(mut args: impl Iterator<Item = String>) -> ExitCode {
-    const USAGE: &str = "usage: tapo advise <reports.jsonl|-> [--flows N] [--replicates N] \
-         [--seed N] [--threads N] [--min-stalled-us N] [--csv]";
-    let mut input: Option<String> = None;
+fn run_advise(args: impl Iterator<Item = String>) -> ExitCode {
+    let mut cli = Args::new("tapo advise", ADVISE_HELP, args);
     let mut cfg = AdviseConfig::default();
     let mut csv = false;
-    let fail = |msg: &str| -> ExitCode {
-        eprintln!("{msg}");
-        ExitCode::from(2)
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--flows" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.flows = n,
-                None => return fail("--flows requires N"),
-            },
-            "--replicates" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.replicates = n,
-                None => return fail("--replicates requires N"),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed = n,
-                None => return fail("--seed requires N"),
-            },
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.threads = n,
-                None => return fail("--threads requires N"),
-            },
-            "--min-stalled-us" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.min_stalled_us = n,
-                None => return fail("--min-stalled-us requires microseconds"),
-            },
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--threads" => cfg.threads = cli.value(&flag, "N"),
             "--csv" => csv = true,
-            "--help" | "-h" => return fail(USAGE),
-            other if other.starts_with('-') && other != "-" => {
-                return fail(&format!("unknown option {other} (try --help)"));
-            }
-            file => {
-                if input.replace(file.to_string()).is_some() {
-                    return fail("advise takes exactly one report stream (or '-')");
-                }
-            }
+            _ => advise_flag(&mut cli, &flag, &mut cfg),
         }
     }
-    let Some(input) = input else {
-        return fail("no report stream given: tapo advise <reports.jsonl|-> (try --help)");
+    let Ok([input]) = <[String; 1]>::try_from(cli.positionals()) else {
+        cli.fail("advise takes exactly one report stream: tapo advise <reports.jsonl|->");
     };
     let parsed = if input == "-" {
         tapo::advise_from_reports(std::io::stdin().lock(), &cfg)
@@ -387,75 +351,34 @@ fn run_advise(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-fn run_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
-    const USAGE: &str = "usage: tapo fleet [reports.jsonl...|-] [--bucket MS] [--threads N] \
-         [--warmup N] [--drift PCT] [--daemon-drift PCT] [--min-share-us N] [--csv] \
-         [--advise] [--flows N] [--replicates N] [--seed N] [--min-stalled-us N]";
-    let mut inputs: Vec<String> = Vec::new();
+fn run_fleet(args: impl Iterator<Item = String>) -> ExitCode {
+    let mut cli = Args::new("tapo fleet", FLEET_HELP, args);
     let mut cfg = FleetConfig::default();
     let mut advise_cfg = AdviseConfig::default();
     let mut with_advice = false;
     let mut csv = false;
-    let fail = |msg: &str| -> ExitCode {
-        eprintln!("{msg}");
-        ExitCode::from(2)
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bucket" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) if ms > 0 => cfg.bucket_us = ms * 1_000,
-                _ => return fail("--bucket requires milliseconds (> 0)"),
-            },
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    cfg.threads = n;
-                    advise_cfg.threads = n;
-                }
-                None => return fail("--threads requires N"),
-            },
-            "--warmup" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.drift.warmup = n,
-                None => return fail("--warmup requires a bucket count"),
-            },
-            "--drift" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(pct) => cfg.drift.drift_pct = pct,
-                None => return fail("--drift requires a percentage"),
-            },
-            "--daemon-drift" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(pct) => cfg.drift.daemon_drift_pct = pct,
-                None => return fail("--daemon-drift requires a percentage"),
-            },
-            "--min-share-us" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.drift.min_share_us = n,
-                None => return fail("--min-share-us requires microseconds"),
-            },
-            "--advise" => with_advice = true,
-            "--flows" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => advise_cfg.flows = n,
-                None => return fail("--flows requires N"),
-            },
-            "--replicates" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => advise_cfg.replicates = n,
-                None => return fail("--replicates requires N"),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => advise_cfg.seed = n,
-                None => return fail("--seed requires N"),
-            },
-            "--min-stalled-us" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => advise_cfg.min_stalled_us = n,
-                None => return fail("--min-stalled-us requires microseconds"),
-            },
-            "--csv" => csv = true,
-            "--help" | "-h" => return fail(USAGE),
-            other if other.starts_with('-') && other != "-" => {
-                return fail(&format!("unknown option {other} (try --help)"));
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--bucket" => {
+                let ms: NonZeroU64 = cli.value(&flag, "milliseconds (> 0)");
+                cfg.bucket_us = ms.get().checked_mul(1_000).unwrap_or_else(|| {
+                    cli.fail(format!("--bucket {ms} ms overflows"));
+                });
             }
-            file => inputs.push(file.to_string()),
+            "--threads" => cfg.threads = cli.value(&flag, "N"),
+            "--warmup" => cfg.drift.warmup = cli.value(&flag, "a bucket count"),
+            "--drift" => cfg.drift.drift_pct = cli.value(&flag, "a percentage"),
+            "--daemon-drift" => cfg.drift.daemon_drift_pct = cli.value(&flag, "a percentage"),
+            "--min-share-us" => cfg.drift.min_share_us = cli.value(&flag, "microseconds"),
+            "--advise" => with_advice = true,
+            "--csv" => csv = true,
+            _ => advise_flag(&mut cli, &flag, &mut advise_cfg),
         }
     }
+    advise_cfg.threads = cfg.threads;
+    let inputs = cli.positionals();
     if inputs.iter().any(|i| i == "-") && inputs.len() > 1 {
-        return fail("'-' (stdin multiplex) cannot be mixed with files");
+        cli.fail("'-' (stdin multiplex) cannot be mixed with files");
     }
 
     let parsed = if inputs.is_empty() || inputs[0] == "-" {
@@ -533,115 +456,45 @@ fn run_fleet(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-fn run_live(mut args: impl Iterator<Item = String>) -> ExitCode {
-    const USAGE: &str = "usage: tapo live <capture.pcap|-> [--shards N] [--cells N] [--batch N] \
-         [--ring N] [--interval MS] [--idle MS] [--linger MS] [--max-flows N] [--promote N] \
-         [--demote N] [--heavy-max N] [--per-shard] [--csv] [--pace X] [--mss BYTES] \
-         [--dupthres N] [--daemon-id ID] [--sketch on|off]";
-    let mut input: Option<String> = None;
+fn run_live(args: impl Iterator<Item = String>) -> ExitCode {
+    let mut cli = Args::new("tapo live", LIVE_HELP, args);
     let mut b = LiveConfig::builder();
     let mut csv = false;
-    let mut daemon_given = false;
-    let fail = |msg: &str| -> ExitCode {
-        eprintln!("{msg}");
-        ExitCode::from(2)
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.shards(n),
-                None => return fail("--shards requires N"),
-            },
-            "--cells" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.cells(n),
-                None => return fail("--cells requires N"),
-            },
-            "--batch" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.batch(n),
-                None => return fail("--batch requires a packet count"),
-            },
-            "--ring" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.ring_depth(n),
-                None => return fail("--ring requires a buffer count"),
-            },
-            "--interval" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => b = b.interval_ms(ms),
-                None => return fail("--interval requires milliseconds"),
-            },
-            "--idle" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => b = b.idle_ms(ms),
-                None => return fail("--idle requires milliseconds (0 disables)"),
-            },
-            "--linger" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => b = b.linger_ms(ms),
-                None => return fail("--linger requires milliseconds (0 disables)"),
-            },
-            "--max-flows" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.max_flows(n),
-                None => return fail("--max-flows requires N (0 = unbounded)"),
-            },
-            "--promote" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.promote(n),
-                None => return fail("--promote requires a dup-ACK count"),
-            },
-            "--demote" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.demote(n),
-                None => return fail("--demote requires a calm-packet streak (0 = never)"),
-            },
-            "--heavy-max" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.heavy_max(n),
-                None => return fail("--heavy-max requires N (0 = unbounded)"),
-            },
+    let mut daemon_id: Option<String> = None;
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--shards" => b = b.shards(cli.value(&flag, "N")),
+            "--cells" => b = b.cells(cli.value(&flag, "N")),
+            "--batch" => b = b.batch(cli.value(&flag, "a packet count")),
+            "--interval" => b = b.interval_ms(cli.value(&flag, "milliseconds")),
+            "--idle" => b = b.idle_ms(cli.value(&flag, "milliseconds (0 disables)")),
+            "--linger" => b = b.linger_ms(cli.value(&flag, "milliseconds (0 disables)")),
+            "--max-flows" => b = b.max_flows(cli.value(&flag, "N (0 = unbounded)")),
+            "--promote" => b = b.promote(cli.value(&flag, "a dup-ACK count")),
+            "--demote" => b = b.demote(cli.value(&flag, "a calm-packet streak (0 = never)")),
+            "--heavy-max" => b = b.heavy_max(cli.value(&flag, "N (0 = unbounded)")),
             "--per-shard" => b = b.per_shard_occupancy(true),
+            "--pace" => b = b.pace(Some(cli.value(&flag, "a factor"))),
+            "--mss" => b = b.mss(cli.value(&flag, "bytes")),
+            "--dupthres" => b = b.dupthres(cli.value(&flag, "N")),
+            "--daemon-id" => daemon_id = Some(cli.value(&flag, "an id")),
+            "--sketch" => b = b.sketch(cli.pick(&flag, &[("on", true), ("off", false)])),
             "--csv" => csv = true,
-            "--pace" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) => b = b.pace(Some(x)),
-                None => return fail("--pace requires a factor"),
-            },
-            "--mss" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(m) => b = b.mss(m),
-                None => return fail("--mss requires bytes"),
-            },
-            "--dupthres" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => b = b.dupthres(n),
-                None => return fail("--dupthres requires N"),
-            },
-            "--daemon-id" => match args.next() {
-                Some(id) => {
-                    b = b.daemon_id(id);
-                    daemon_given = true;
-                }
-                None => return fail("--daemon-id requires an id"),
-            },
-            "--sketch" => match args.next().as_deref() {
-                Some("on") => b = b.sketch(true),
-                Some("off") => b = b.sketch(false),
-                _ => return fail("--sketch requires on|off"),
-            },
-            "--help" | "-h" => return fail(USAGE),
-            other if other.starts_with('-') && other != "-" => {
-                return fail(&format!("unknown option {other} (try --help)"));
-            }
-            file => {
-                if input.replace(file.to_string()).is_some() {
-                    return fail("live mode takes exactly one capture (or '-')");
-                }
-            }
+            _ => cli.unknown(&flag),
         }
     }
-    let Some(input) = input else {
-        return fail("no capture given: tapo live <capture.pcap|-> (try --help)");
+    let Ok([input]) = <[String; 1]>::try_from(cli.positionals()) else {
+        cli.fail("live mode takes exactly one capture: tapo live <capture.pcap|->");
     };
     // Without an explicit id, a file-fed daemon gets a stable hash of its
     // capture path — restart-safe and pid-free — while stdin stays the
     // "local" default (there is no path to hash).
-    if !daemon_given && input != "-" {
-        b = b.daemon_id(DaemonId::derived_from_path(&input).as_str());
+    match daemon_id {
+        Some(id) => b = b.daemon_id(id),
+        None if input != "-" => b = b.daemon_id(DaemonId::derived_from_path(&input).as_str()),
+        None => {}
     }
-    let cfg = match b.build() {
-        Ok(cfg) => cfg,
-        Err(e) => return fail(&format!("tapo live: {e}")),
-    };
+    let cfg = b.build().unwrap_or_else(|e| cli.fail(e));
 
     // Interval reports stream to stdout through one fixed-shape sink; in
     // CSV mode stdout stays a clean spreadsheet (header up front, even if

@@ -100,9 +100,6 @@ pub enum LiveConfigError {
     TierKnobWithoutPromote(&'static str),
     /// `batch` was 0 or above [`MAX_BATCH`] (carries the bad value).
     BadBatch(usize),
-    /// `ring_depth` was 0 or above [`MAX_RING_DEPTH`] (carries the bad
-    /// value).
-    BadRingDepth(usize),
     /// `cells` was 0 or above [`MAX_CELLS`] (carries the bad value).
     BadCells(usize),
     /// `daemon_id` was empty, longer than [`MAX_DAEMON_ID`] bytes, or
@@ -114,10 +111,6 @@ pub enum LiveConfigError {
 /// in cache and interval cuts grow needlessly latent, so treat it as a
 /// typo rather than a tuning choice.
 pub const MAX_BATCH: usize = 1 << 16;
-
-/// Upper bound on `--ring`: each slot pins a recycled work buffer of up
-/// to `batch` entries per shard, so absurd depths are a memory typo.
-pub const MAX_RING_DEPTH: usize = 1 << 12;
 
 /// Upper bound on `--cells`: each cell costs O(1) quota/LRU bookkeeping
 /// per shard, but a cell count far above any plausible shard count only
@@ -140,9 +133,6 @@ impl fmt::Display for LiveConfigError {
             }
             LiveConfigError::BadBatch(n) => {
                 write!(f, "--batch must be between 1 and {MAX_BATCH}, got {n}")
-            }
-            LiveConfigError::BadRingDepth(n) => {
-                write!(f, "--ring must be between 1 and {MAX_RING_DEPTH}, got {n}")
             }
             LiveConfigError::BadCells(n) => {
                 write!(f, "--cells must be between 1 and {MAX_CELLS}, got {n}")
@@ -183,7 +173,6 @@ pub struct LiveConfigBuilder {
     demote: Option<u32>,
     heavy_max: Option<usize>,
     batch: usize,
-    ring_depth: usize,
     /// `None` keeps [`DaemonId::default`] (`"local"`).
     daemon_id: Option<String>,
     sketch: bool,
@@ -218,7 +207,6 @@ impl Default for LiveConfigBuilder {
             demote: None,
             heavy_max: None,
             batch: d.batch,
-            ring_depth: d.ring_depth,
             daemon_id: None,
             sketch: d.sketch,
         }
@@ -330,13 +318,6 @@ impl LiveConfigBuilder {
         self
     }
 
-    /// Depth of each driver→shard work ring in batch buffers
-    /// (1..=[`MAX_RING_DEPTH`]).
-    pub fn ring_depth(mut self, n: usize) -> Self {
-        self.ring_depth = n;
-        self
-    }
-
     /// Daemon identifier stamped into every interval and summary record
     /// (1..=[`MAX_DAEMON_ID`] characters of `[A-Za-z0-9._:-]`). The CLI
     /// defaults to [`DaemonId::derived_from_path`] over the capture path.
@@ -374,9 +355,6 @@ impl LiveConfigBuilder {
         }
         if self.batch == 0 || self.batch > MAX_BATCH {
             return Err(LiveConfigError::BadBatch(self.batch));
-        }
-        if self.ring_depth == 0 || self.ring_depth > MAX_RING_DEPTH {
-            return Err(LiveConfigError::BadRingDepth(self.ring_depth));
         }
         if self.cells == 0 || self.cells > MAX_CELLS {
             return Err(LiveConfigError::BadCells(self.cells));
@@ -424,7 +402,6 @@ impl LiveConfigBuilder {
             pace: self.pace,
             tier,
             batch: self.batch,
-            ring_depth: self.ring_depth,
             ..LiveConfig::default()
         };
         cfg.analyzer.replay.mss = self.mss;
@@ -530,17 +507,6 @@ mod tests {
                 .unwrap_err(),
             LiveConfigError::BadBatch(MAX_BATCH + 1)
         );
-        assert_eq!(
-            LiveConfigBuilder::new().ring_depth(0).build().unwrap_err(),
-            LiveConfigError::BadRingDepth(0)
-        );
-        assert_eq!(
-            LiveConfigBuilder::new()
-                .ring_depth(MAX_RING_DEPTH + 1)
-                .build()
-                .unwrap_err(),
-            LiveConfigError::BadRingDepth(MAX_RING_DEPTH + 1)
-        );
         // Zero shards is caught before the batch knobs, even when both
         // are bad — the shard error names the first offending flag.
         assert_eq!(
@@ -551,13 +517,8 @@ mod tests {
                 .unwrap_err(),
             LiveConfigError::ZeroShards
         );
-        let cfg = LiveConfigBuilder::new()
-            .batch(1)
-            .ring_depth(MAX_RING_DEPTH)
-            .build()
-            .unwrap();
+        let cfg = LiveConfigBuilder::new().batch(1).build().unwrap();
         assert_eq!(cfg.batch, 1);
-        assert_eq!(cfg.ring_depth, MAX_RING_DEPTH);
         let d = LiveConfigBuilder::new().build().unwrap();
         assert_eq!(d.batch, crate::live::DEFAULT_BATCH);
         assert_eq!(d.ring_depth, crate::live::DEFAULT_RING_DEPTH);

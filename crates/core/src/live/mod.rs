@@ -88,7 +88,7 @@ mod wheel;
 
 pub use config::{
     default_shards, DaemonId, LiveConfigBuilder, LiveConfigError, MAX_BATCH, MAX_CELLS,
-    MAX_DAEMON_ID, MAX_RING_DEPTH,
+    MAX_DAEMON_ID,
 };
 pub use fnv::{cell_of, FnvHasher};
 pub use lru::LruList;

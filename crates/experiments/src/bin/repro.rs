@@ -1,19 +1,7 @@
-//! `repro` — regenerate the paper's tables and figures.
-//!
-//! ```text
-//! repro [--quick] [--json] [--out DIR] [--threads N] [EXPERIMENT...]
-//!
-//! EXPERIMENT: table1 table3 table4 table5 table6 table7 table8 table9
-//!             fig1 fig2 fig3 fig6 fig7 fig10 fig11 fig12
-//!             ablations accuracy validate all      (default: all)
-//! ```
-//!
-//! CSVs are written to `--out` (default `results/`). `--threads N` shards
-//! flow synthesis and analysis over N workers (default: all cores); the
-//! output is bit-identical at any thread count.
+//! `repro` — regenerate the paper's tables and figures. `repro --help`
+//! lists the flags and experiments.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use experiments::{
@@ -21,52 +9,67 @@ use experiments::{
     output::Table, table1, table3, table4, table5, table6, validate, ComparisonScale, Dataset,
     Engine,
 };
+use simnet::cli::Args;
 use tapo::json::Json;
 
+const HELP: &str = "\
+usage: repro [--quick] [--json] [--out DIR] [--threads N] [EXPERIMENT...]
+
+EXPERIMENT: table1 table3 table4 table5 table6 table7 table8 table9
+            fig1 fig2 fig3 fig6 fig7 fig10 fig11 fig12
+            ablations accuracy validate all      (default: all)
+
+  --quick      a smaller dataset, for smoke runs
+  --json       also write DIR/summary.json
+  --out DIR    where CSVs are written (default results/)
+  --threads N  shard flow synthesis and analysis over N workers (default:
+               all cores); the output is bit-identical at any thread count
+";
+
+const EXPERIMENTS: [&str; 20] = [
+    "table1",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig6",
+    "fig7",
+    "fig10",
+    "fig11",
+    "fig12",
+    "ablations",
+    "accuracy",
+    "validate",
+    "all",
+];
+
 fn main() {
+    let mut cli = Args::new("repro", HELP, std::env::args().skip(1));
     let mut quick = false;
     let mut json = false;
     let mut threads = 0usize;
     let mut out_dir = PathBuf::from("results");
-    let mut wanted: BTreeSet<String> = BTreeSet::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
             "--quick" => quick = true,
             "--json" => json = true,
-            "--out" => {
-                out_dir = PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a directory");
-                    std::process::exit(2);
-                }))
-            }
-            "--threads" => {
-                threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--threads requires N");
-                    std::process::exit(2);
-                })
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--quick] [--json] [--out DIR] [--threads N] [EXPERIMENT...]\n\
-                     --json also writes results/summary.json\n\
-                     --threads N uses N workers (default all cores; output identical)\n\
-                     experiments: table1 table3 table4 table5 table6 table7 table8 table9\n\
-                     \x20            fig1 fig2 fig3 fig6 fig7 fig10 fig11 fig12 ablations accuracy\n\
-                     \x20            validate all"
-                );
-                return;
-            }
-            other => {
-                wanted.insert(other.to_string());
-            }
+            "--out" => out_dir = cli.value(&flag, "a directory"),
+            "--threads" => threads = cli.value(&flag, "N"),
+            _ => cli.unknown(&flag),
         }
     }
-    if wanted.is_empty() {
-        wanted.insert("all".into());
+    let wanted = cli.positionals();
+    if let Some(name) = wanted.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
+        cli.fail(format!("unknown experiment {name}"));
     }
-    let all = wanted.contains("all");
-    let want = |name: &str| all || wanted.contains(name);
+    let all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
+    let want = |name: &str| all || wanted.iter().any(|w| w == name);
 
     let engine = Engine::new(threads);
 

@@ -22,10 +22,12 @@
 //!   a configured bandwidth, a drop-tail queue, optional jitter and
 //!   reordering.
 //! * [`event`] — the deterministic event queue.
+//! * [`cli`] — the one command-line argument reader every binary uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod event;
 pub mod link;
 pub mod loss;

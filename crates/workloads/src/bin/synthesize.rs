@@ -3,85 +3,81 @@
 //! The companion to the `tapo` CLI: it produces the kind of server-side
 //! capture the paper's front-ends recorded, from the calibrated service
 //! models, so the full offline workflow can be exercised without any
-//! production data.
-//!
-//! ```text
-//! synthesize <cloud|software|web> <out.pcap> [--flows N] [--seed S]
-//!            [--mechanism native|tlp|srto]
-//! synthesize mixed <out.pcap> [--flows N] [--seed S] [--mean-gap-ms MS]
-//!            [--mechanism native|tlp|srto] [--threads N]
-//! ```
-//!
-//! The `mixed` mode interleaves flows from **all three** services into one
-//! time-ordered capture with Poisson flow arrivals — the input shape the
-//! `tapo live` pipeline is built for (`--flows` is the *total* across
-//! services, rounded up to a multiple of three).
+//! production data. `synthesize --help` and `synthesize mixed --help`
+//! list the flags of its two modes.
 
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::ExitCode;
 
+use simnet::cli::Args;
 use simnet::time::SimDuration;
-use tcp_sim::recovery::RecoveryMechanism;
 use tcp_trace::pcap::PcapWriter;
 use workloads::{generate_interleaved, synthesize_corpus, LiveGenSpec, LiveMechanism, Service};
 
+const HELP: &str = "\
+usage: synthesize <cloud|software|web> <out.pcap> [--flows N] [--seed S]
+                  [--mechanism native|tlp|srto]
+
+Synthesize one service's flows into a capture, flow after flow.
+
+  --flows N          flows to synthesize               (default 100)
+  --seed S           master seed                       (default 2015)
+  --mechanism M      loss recovery: native, tlp or srto (default native)
+
+`synthesize mixed --help` describes the interleaved mode.
+";
+
+const MIXED_HELP: &str = "\
+usage: synthesize mixed <out.pcap> [--flows N] [--seed S] [--mean-gap-ms MS]
+                        [--mechanism native|tlp|srto] [--threads N]
+
+Interleave flows from all three services into one time-ordered capture
+with Poisson flow arrivals, the input shape the `tapo live` pipeline is
+built for.
+
+  --flows N          total flows across the three services, rounded up
+                     to a multiple of three            (default 300)
+  --seed S           master seed                       (default 2015)
+  --mean-gap-ms MS   mean gap between flow starts      (default 20)
+  --mechanism M      loss recovery: native, tlp or srto (default native)
+  --threads N        simulation worker threads (default: all cores; the
+                     capture is identical at any thread count)
+";
+
+const MECHANISMS: [(&str, LiveMechanism); 3] = [
+    ("native", LiveMechanism::Native),
+    ("tlp", LiveMechanism::Tlp),
+    ("srto", LiveMechanism::Srto),
+];
+
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let usage = "usage: synthesize <cloud|software|web|mixed> <out.pcap> \
-                 [--flows N] [--seed S] [--mechanism native|tlp|srto] \
-                 [--mean-gap-ms MS] [--threads N]";
-    let first = args.next();
-    if first.as_deref() == Some("mixed") {
-        return run_mixed(args, usage);
+    let mut args = std::env::args().skip(1).peekable();
+    if args.peek().map(String::as_str) == Some("mixed") {
+        return run_mixed(Args::new("synthesize mixed", MIXED_HELP, args.skip(1)));
     }
-    let service = match first.as_deref() {
-        Some("cloud") => Service::CloudStorage,
-        Some("software") => Service::SoftwareDownload,
-        Some("web") => Service::WebSearch,
-        _ => {
-            eprintln!("{usage}");
-            return ExitCode::from(2);
-        }
-    };
-    let Some(out_path) = args.next() else {
-        eprintln!("{usage}");
-        return ExitCode::from(2);
-    };
+    let mut cli = Args::new("synthesize", HELP, args);
     let mut flows = 100usize;
     let mut seed = 2015u64;
-    let mut mechanism = RecoveryMechanism::Native;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--flows" => {
-                flows = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--flows requires a count");
-                    std::process::exit(2);
-                })
-            }
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed requires an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--mechanism" => {
-                mechanism = match args.next().as_deref() {
-                    Some("native") => RecoveryMechanism::Native,
-                    Some("tlp") => RecoveryMechanism::tlp(),
-                    Some("srto") => RecoveryMechanism::Srto(service.srto_config()),
-                    _ => {
-                        eprintln!("--mechanism must be native, tlp or srto");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown option {other}\n{usage}");
-                return ExitCode::from(2);
-            }
+    let mut mechanism = LiveMechanism::Native;
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--flows" => flows = cli.value(&flag, "a count"),
+            "--seed" => seed = cli.value(&flag, "an integer"),
+            "--mechanism" => mechanism = cli.pick(&flag, &MECHANISMS),
+            _ => cli.unknown(&flag),
         }
     }
+    let Ok([service, out_path]) = <[String; 2]>::try_from(cli.positionals()) else {
+        cli.fail("expected a service and an output file");
+    };
+    let service = match service.as_str() {
+        "cloud" => Service::CloudStorage,
+        "software" => Service::SoftwareDownload,
+        "web" => Service::WebSearch,
+        _ => cli.fail(format!("unknown service {service}")),
+    };
+    let mechanism = mechanism.resolve(service);
 
     eprintln!(
         "synthesizing {flows} {} flows under {} (seed {seed})...",
@@ -125,57 +121,24 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_mixed(mut args: impl Iterator<Item = String>, usage: &str) -> ExitCode {
-    let Some(out_path) = args.next() else {
-        eprintln!("{usage}");
-        return ExitCode::from(2);
-    };
+fn run_mixed(mut cli: Args) -> ExitCode {
     let mut spec = LiveGenSpec::default();
     let mut total_flows = 300usize;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--flows" => {
-                total_flows = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--flows requires a count");
-                    std::process::exit(2);
-                })
-            }
-            "--seed" => {
-                spec.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed requires an integer");
-                    std::process::exit(2);
-                })
-            }
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--flows" => total_flows = cli.value(&flag, "a count"),
+            "--seed" => spec.seed = cli.value(&flag, "an integer"),
             "--mean-gap-ms" => {
-                let ms: u64 = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--mean-gap-ms requires milliseconds");
-                    std::process::exit(2);
-                });
-                spec.mean_gap = SimDuration::from_millis(ms);
+                spec.mean_gap = SimDuration::from_millis(cli.value(&flag, "milliseconds"))
             }
-            "--threads" => {
-                spec.threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--threads requires a count");
-                    std::process::exit(2);
-                })
-            }
-            "--mechanism" => {
-                spec.mechanism = match args.next().as_deref() {
-                    Some("native") => LiveMechanism::Native,
-                    Some("tlp") => LiveMechanism::Tlp,
-                    Some("srto") => LiveMechanism::Srto,
-                    _ => {
-                        eprintln!("--mechanism must be native, tlp or srto");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown option {other}\n{usage}");
-                return ExitCode::from(2);
-            }
+            "--threads" => spec.threads = cli.value(&flag, "a count"),
+            "--mechanism" => spec.mechanism = cli.pick(&flag, &MECHANISMS),
+            _ => cli.unknown(&flag),
         }
     }
+    let Ok([out_path]) = <[String; 1]>::try_from(cli.positionals()) else {
+        cli.fail("expected one output file");
+    };
     spec.flows_per_service = total_flows.div_ceil(3);
 
     eprintln!(

@@ -42,7 +42,8 @@ pub enum LiveMechanism {
 }
 
 impl LiveMechanism {
-    fn resolve(self, service: Service) -> RecoveryMechanism {
+    /// The mechanism `service`'s flows run under.
+    pub fn resolve(self, service: Service) -> RecoveryMechanism {
         match self {
             LiveMechanism::Native => RecoveryMechanism::Native,
             LiveMechanism::Tlp => RecoveryMechanism::tlp(),

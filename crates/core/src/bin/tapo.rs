@@ -13,12 +13,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use simnet::cli::Args;
+use simnet::time::SimDuration;
 use tapo::json::Json;
 use tapo::live::{self, DaemonId, LiveConfig};
 use tapo::sink::{CsvSink, JsonLinesSink, ReportSink};
 use tapo::{
     analyze_flow, AdviseConfig, AnalyzerConfig, FleetAlert, FleetConfig, FleetInterval,
-    FlowAnalysis, RetransClass, Stall, StallBreakdown, StallCause, StallClass,
+    FlowAnalysis, RetransClass, Stall, StallBreakdown, StallCause, StallClass, TierConfig,
 };
 use tcp_trace::flow::FlowTrace;
 use tcp_trace::pcap::{PcapReader, PcapStats};
@@ -50,8 +51,8 @@ const LIVE_HELP: &str = "\
 usage: tapo live <capture.pcap|-> [--shards N] [--cells N] [--batch N]
                  [--interval MS] [--idle MS] [--linger MS] [--max-flows N]
                  [--promote N] [--demote N] [--heavy-max N] [--per-shard]
-                 [--csv] [--pace X] [--mss BYTES] [--dupthres N]
-                 [--daemon-id ID] [--sketch on|off]
+                 [--csv] [--mss BYTES] [--dupthres N] [--daemon-id ID]
+                 [--sketch on|off]
 
 The daemon mode: stream a capture (file, FIFO, or `-` for stdin) through
 the sharded bounded-memory pipeline, emitting one report line per
@@ -80,7 +81,6 @@ interval and a final summary.
                   (default 4096; requires --promote)
   --per-shard     include per-shard occupancy in reports
   --csv           CSV reports instead of JSON-lines (summary → stderr)
-  --pace X        replay at X× capture time (1.0 = real time)
   --mss BYTES     analyzer MSS assumption        (default 1448)
   --dupthres N    analyzer dupack threshold      (default 3)
   --daemon-id ID  stamp every report with this daemon id (1..=40 chars
@@ -151,6 +151,11 @@ order, file-vs-stdin ingestion, or thread count.
 ",
     advise_flags_help!()
 );
+
+/// The milliseconds after `flag` as a timeout, `None` for 0 (off).
+fn millis_or_off(cli: &mut Args, flag: &str) -> Option<SimDuration> {
+    Some(cli.millis::<u64>(flag, "milliseconds (0 disables)")).filter(|d| !d.is_zero())
+}
 
 /// Apply one of the [`advise_flags_help`] flags to `cfg`; any other flag
 /// is unknown.
@@ -360,10 +365,9 @@ fn run_fleet(args: impl Iterator<Item = String>) -> ExitCode {
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
             "--bucket" => {
-                let ms: NonZeroU64 = cli.value(&flag, "milliseconds (> 0)");
-                cfg.bucket_us = ms.get().checked_mul(1_000).unwrap_or_else(|| {
-                    cli.fail(format!("--bucket {ms} ms overflows"));
-                });
+                cfg.bucket_us = cli
+                    .millis::<NonZeroU64>(&flag, "milliseconds (> 0)")
+                    .as_micros()
             }
             "--threads" => cfg.threads = cli.value(&flag, "N"),
             "--warmup" => cfg.drift.warmup = cli.value(&flag, "a bucket count"),
@@ -458,27 +462,37 @@ fn run_fleet(args: impl Iterator<Item = String>) -> ExitCode {
 
 fn run_live(args: impl Iterator<Item = String>) -> ExitCode {
     let mut cli = Args::new("tapo live", LIVE_HELP, args);
-    let mut b = LiveConfig::builder();
+    let mut cfg = LiveConfig::default();
+    let mut tier = TierConfig::default();
+    let (mut promote, mut demote, mut heavy_max) = (false, false, false);
     let mut csv = false;
     let mut daemon_id: Option<String> = None;
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
-            "--shards" => b = b.shards(cli.value(&flag, "N")),
-            "--cells" => b = b.cells(cli.value(&flag, "N")),
-            "--batch" => b = b.batch(cli.value(&flag, "a packet count")),
-            "--interval" => b = b.interval_ms(cli.value(&flag, "milliseconds")),
-            "--idle" => b = b.idle_ms(cli.value(&flag, "milliseconds (0 disables)")),
-            "--linger" => b = b.linger_ms(cli.value(&flag, "milliseconds (0 disables)")),
-            "--max-flows" => b = b.max_flows(cli.value(&flag, "N (0 = unbounded)")),
-            "--promote" => b = b.promote(cli.value(&flag, "a dup-ACK count")),
-            "--demote" => b = b.demote(cli.value(&flag, "a calm-packet streak (0 = never)")),
-            "--heavy-max" => b = b.heavy_max(cli.value(&flag, "N (0 = unbounded)")),
-            "--per-shard" => b = b.per_shard_occupancy(true),
-            "--pace" => b = b.pace(Some(cli.value(&flag, "a factor"))),
-            "--mss" => b = b.mss(cli.value(&flag, "bytes")),
-            "--dupthres" => b = b.dupthres(cli.value(&flag, "N")),
+            "--shards" => cfg.shards = cli.value(&flag, "N"),
+            "--cells" => cfg.cells = cli.value(&flag, "N"),
+            "--batch" => cfg.batch = cli.value(&flag, "a packet count"),
+            "--interval" => cfg.interval = cli.millis::<u64>(&flag, "milliseconds"),
+            "--idle" => cfg.idle_timeout = millis_or_off(&mut cli, &flag),
+            "--linger" => cfg.fin_linger = millis_or_off(&mut cli, &flag),
+            "--max-flows" => cfg.max_flows = cli.value(&flag, "N (0 = unbounded)"),
+            "--promote" => {
+                tier.promote_dupacks = cli.value(&flag, "a dup-ACK count");
+                promote = true;
+            }
+            "--demote" => {
+                tier.demote_streak = cli.value(&flag, "a calm-packet streak (0 = never)");
+                demote = true;
+            }
+            "--heavy-max" => {
+                tier.heavy_max = cli.value(&flag, "N (0 = unbounded)");
+                heavy_max = true;
+            }
+            "--per-shard" => cfg.per_shard_occupancy = true,
+            "--mss" => cfg.analyzer.replay.mss = cli.value(&flag, "bytes"),
+            "--dupthres" => cfg.analyzer.replay.dupthres = cli.value(&flag, "N"),
             "--daemon-id" => daemon_id = Some(cli.value(&flag, "an id")),
-            "--sketch" => b = b.sketch(cli.pick(&flag, &[("on", true), ("off", false)])),
+            "--sketch" => cfg.sketch = cli.pick(&flag, &[("on", true), ("off", false)]),
             "--csv" => csv = true,
             _ => cli.unknown(&flag),
         }
@@ -486,15 +500,24 @@ fn run_live(args: impl Iterator<Item = String>) -> ExitCode {
     let Ok([input]) = <[String; 1]>::try_from(cli.positionals()) else {
         cli.fail("live mode takes exactly one capture: tapo live <capture.pcap|->");
     };
+    cfg.tier = promote.then_some(tier);
+    let mut cfg = cfg.build().unwrap_or_else(|e| cli.fail(e));
+    // The two-tier knobs tune a mode only `--promote` turns on.
+    for (knob, given) in [("demote", demote), ("heavy-max", heavy_max)] {
+        if given && !promote {
+            cli.fail(format!(
+                "--{knob} requires --promote (two-tier mode is off)"
+            ));
+        }
+    }
     // Without an explicit id, a file-fed daemon gets a stable hash of its
     // capture path — restart-safe and pid-free — while stdin stays the
     // "local" default (there is no path to hash).
     match daemon_id {
-        Some(id) => b = b.daemon_id(id),
-        None if input != "-" => b = b.daemon_id(DaemonId::derived_from_path(&input).as_str()),
+        Some(id) => cfg.daemon_id = DaemonId::new(&id).unwrap_or_else(|e| cli.fail(e)),
+        None if input != "-" => cfg.daemon_id = DaemonId::derived_from_path(&input),
         None => {}
     }
-    let cfg = b.build().unwrap_or_else(|e| cli.fail(e));
 
     // Interval reports stream to stdout through one fixed-shape sink; in
     // CSV mode stdout stays a clean spreadsheet (header up front, even if

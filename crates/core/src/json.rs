@@ -1233,7 +1233,7 @@ mod tests {
         use crate::causes::{RetransClass, StallClass};
         use crate::fleet::sketch::QSketch;
         use crate::fleet::{aggregate, FleetAlert, FleetConfig};
-        use crate::live::{self, LiveConfigBuilder};
+        use crate::live::{self, LiveConfig};
         use crate::report::parse::{parse_interval_line, ParsedInterval};
         use crate::sink::Record;
 
@@ -1266,11 +1266,11 @@ mod tests {
 
         // `tapo live` interval records with every optional section, and
         // the run summary, from the committed golden capture.
-        let cfg = LiveConfigBuilder::new()
-            .sketch(true)
-            .per_shard_occupancy(true)
-            .build()
-            .unwrap();
+        let cfg = LiveConfig {
+            sketch: true,
+            per_shard_occupancy: true,
+            ..LiveConfig::default()
+        };
         let cap = include_bytes!("../tests/golden/handmade.pcap");
         let mut intervals = Vec::new();
         let summary = live::run(&cap[..], &cfg, |r| intervals.push(r.clone())).unwrap();

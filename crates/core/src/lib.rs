@@ -55,8 +55,7 @@ pub use fleet::{
     FleetInterval, FleetOutcome, FleetSummary, QSketch,
 };
 pub use live::{
-    FlowMonitor, IntervalReport, LiveConfig, LiveConfigBuilder, LiveConfigError, LiveSummary,
-    MonitorSeed, TierConfig,
+    FlowMonitor, IntervalReport, LiveConfig, LiveConfigError, LiveSummary, MonitorSeed, TierConfig,
 };
 pub use replay::{EstCaState, Replay, ReplayConfig, RetransKind, Snapshot};
 pub use report::{CauseStats, Cdf, Share, StallBreakdown};

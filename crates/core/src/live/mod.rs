@@ -86,10 +86,7 @@ pub mod ring;
 mod shard;
 mod wheel;
 
-pub use config::{
-    default_shards, DaemonId, LiveConfigBuilder, LiveConfigError, MAX_BATCH, MAX_CELLS,
-    MAX_DAEMON_ID,
-};
+pub use config::{default_shards, DaemonId, LiveConfigError, MAX_BATCH, MAX_CELLS, MAX_DAEMON_ID};
 pub use fnv::{cell_of, FnvHasher};
 pub use lru::LruList;
 pub use monitor::{FlowMonitor, LightTable, MonitorSeed, TierConfig, Verdict};
@@ -113,14 +110,14 @@ use crate::{AnalyzerConfig, FlowAnalysis};
 use ring::{RingConsumer, RingProducer};
 
 /// How the live pipeline runs: sharding, lifecycle timeouts, reporting
-/// cadence, memory cap.
+/// cadence, memory cap. Fill the fields over [`LiveConfig::default`];
+/// [`LiveConfig::build`] checks them.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveConfig {
     /// Per-flow analyzer parameters.
     pub analyzer: AnalyzerConfig,
     /// Worker shards (0 is treated as 1). Output is identical at any
-    /// count; both the builder ([`default_shards`]) and
-    /// `LiveConfig::default()` default to 1, the inline engine.
+    /// count; the default is [`default_shards`], 1: the inline engine.
     pub shards: usize,
     /// Virtual flow cells — the shard-count-independent unit of flow
     /// ownership and cap splitting (0 is treated as 1; clamped to
@@ -145,9 +142,6 @@ pub struct LiveConfig {
     /// dependent, so off by default to keep output byte-identical across
     /// shard counts).
     pub per_shard_occupancy: bool,
-    /// Replay pacing: sleep so capture time advances at `pace` × real time
-    /// (1.0 = original timing). `None` = as fast as possible.
-    pub pace: Option<f64>,
     /// Two-tier monitoring: `Some` keeps every flow in a compact light
     /// tier ([`LightTable`]) and promotes to a full [`crate::StreamAnalyzer`]
     /// only on suspicion; `None` (the default) analyzes every flow heavy
@@ -183,7 +177,7 @@ impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
             analyzer: AnalyzerConfig::default(),
-            shards: 1,
+            shards: default_shards(),
             cells: DEFAULT_CELLS,
             interval: SimDuration::from_secs(1),
             idle_timeout: Some(SimDuration::from_secs(60)),
@@ -191,7 +185,6 @@ impl Default for LiveConfig {
             max_flows: 0,
             collect_flows: false,
             per_shard_occupancy: false,
-            pace: None,
             tier: None,
             batch: DEFAULT_BATCH,
             ring_depth: DEFAULT_RING_DEPTH,
@@ -202,10 +195,10 @@ impl Default for LiveConfig {
 }
 
 impl LiveConfig {
-    /// Start a validated [`LiveConfigBuilder`] — the construction path the
-    /// CLI and library users share.
-    pub fn builder() -> LiveConfigBuilder {
-        LiveConfigBuilder::new()
+    /// Another name for [`LiveConfig::default`], kept while the benchmark
+    /// still starts its no-flags config from it.
+    pub fn builder() -> LiveConfig {
+        LiveConfig::default()
     }
 
     /// The cell count the pipeline actually runs with: at least 1, and
@@ -500,23 +493,11 @@ pub fn run<R: Read>(
         let mut next_cut_us = 0u64;
         let mut last_t_us = 0u64;
         let mut gidx = 0u64;
-        let pace = cfg.pace.filter(|&p| p > 0.0);
-        let mut pace_origin: Option<(std::time::Instant, u64)> = None;
         while stream.fill_batch(&mut batch, batch_cap)? > 0 {
             for j in 0..batch.len() {
                 let pkt = &batch.pkts()[j];
                 let t_us = pkt.t.as_micros();
                 last_t_us = t_us;
-                if let Some(p) = pace {
-                    let (wall0, t0) = *pace_origin.get_or_insert((std::time::Instant::now(), t_us));
-                    let target = std::time::Duration::from_secs_f64(
-                        (t_us.saturating_sub(t0)) as f64 / 1e6 / p,
-                    );
-                    let elapsed = wall0.elapsed();
-                    if target > elapsed {
-                        std::thread::sleep(target - elapsed);
-                    }
-                }
                 // Dividing only at interval boundaries keeps a 64-bit div
                 // off the per-packet path. Engines expire deadlines up to
                 // the barrier before taking the delta, so an eviction due

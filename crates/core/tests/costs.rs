@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use simnet::time::SimDuration;
-use tapo::live::{self, IntervalReport, LiveConfigBuilder};
+use tapo::live::{self, DaemonId, IntervalReport, LiveConfig};
 use tapo::report::parse::parse_interval_line;
 use tapo::sink::{JsonLinesSink, Record, ReportSink};
 use tapo::{aggregate, FleetConfig};
@@ -83,12 +83,12 @@ fn worst_after_first<'a>(records: impl IntoIterator<Item = &'a dyn Record>) -> u
 /// `tapo live`'s interval reports over a seeded three-service capture,
 /// from daemon `id`.
 fn interval_reports(capture: &[u8], id: &str) -> Vec<IntervalReport> {
-    let cfg = LiveConfigBuilder::new()
-        .shards(1)
-        .interval_ms(250)
-        .daemon_id(id)
-        .build()
-        .unwrap();
+    let cfg = LiveConfig {
+        shards: 1,
+        interval: SimDuration::from_millis(250),
+        daemon_id: DaemonId::new(id).unwrap(),
+        ..LiveConfig::default()
+    };
     let mut reports = Vec::new();
     live::run(capture, &cfg, |r| reports.push(r.clone())).unwrap();
     reports

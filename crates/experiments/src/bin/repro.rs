@@ -2,7 +2,8 @@
 //! lists the flags and experiments.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use experiments::{
     ablation, dataset::Scale, fig1, fig11, fig2, fig3, fig6, fig7, mechanism, output::Figure,
@@ -49,6 +50,14 @@ const EXPERIMENTS: [&str; 20] = [
     "all",
 ];
 
+/// End the run at the first failed write, naming what it was writing.
+fn written(path: &Path, result: io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("repro: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let mut cli = Args::new("repro", HELP, std::env::args().skip(1));
     let mut quick = false;
@@ -93,7 +102,10 @@ fn main() {
 
     let artifacts: RefCell<Vec<Json>> = RefCell::new(Vec::new());
     let print_t = |t: Table| {
-        let _ = t.write_csv(&out_dir);
+        written(
+            &out_dir.join(format!("{}.csv", t.id)),
+            t.write_csv(&out_dir),
+        );
         println!("{}", t.render());
         if json {
             artifacts.borrow_mut().push(Json::obj([
@@ -103,7 +115,10 @@ fn main() {
         }
     };
     let print_f = |f: Figure| {
-        let _ = f.write_csv(&out_dir);
+        written(
+            &out_dir.join(format!("{}.csv", f.id)),
+            f.write_csv(&out_dir),
+        );
         println!("{}", f.render());
         if json {
             artifacts.borrow_mut().push(Json::obj([
@@ -261,10 +276,8 @@ fn main() {
             ("artifacts", Json::Arr(artifacts.into_inner())),
         ]);
         let path = out_dir.join("summary.json");
-        match std::fs::write(&path, doc.pretty()) {
-            Ok(()) => eprintln!("JSON summary written to {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
+        written(&path, std::fs::write(&path, doc.pretty()));
+        eprintln!("JSON summary written to {}", path.display());
     }
     eprintln!("CSV output written to {}", out_dir.display());
 }

@@ -30,6 +30,8 @@ use std::fmt::Display;
 use std::io::Write;
 use std::str::FromStr;
 
+use crate::time::SimDuration;
+
 /// Why parsing ends the process.
 #[derive(Debug, PartialEq)]
 enum Stop {
@@ -79,6 +81,14 @@ impl Args {
             .unwrap_or_else(|stop| self.exit(stop))
     }
 
+    /// The value after `flag`, a count of milliseconds parsed as a `T`
+    /// (`what` as for [`Self::value`]), as a duration; a count whose
+    /// microseconds overflow `u64` is a usage error naming the flag.
+    pub fn millis<T: FromStr + Into<u64>>(&mut self, flag: &str, what: &str) -> SimDuration {
+        self.try_millis::<T>(flag, what)
+            .unwrap_or_else(|stop| self.exit(stop))
+    }
+
     /// The value after `flag`, which must be one of the names in
     /// `choices`; returns the value paired with that name.
     pub fn pick<T: Copy>(&mut self, flag: &str, choices: &[(&str, T)]) -> T {
@@ -118,6 +128,17 @@ impl Args {
     fn try_value<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<T, Stop> {
         let v = self.rest.next().ok_or_else(|| requires(flag, what, None))?;
         v.parse().map_err(|_| requires(flag, what, Some(&v)))
+    }
+
+    fn try_millis<T: FromStr + Into<u64>>(
+        &mut self,
+        flag: &str,
+        what: &str,
+    ) -> Result<SimDuration, Stop> {
+        let ms: u64 = self.try_value::<T>(flag, what)?.into();
+        ms.checked_mul(1_000)
+            .map(SimDuration::from_micros)
+            .ok_or_else(|| Stop::Usage(format!("{flag} {ms} ms overflows")))
     }
 
     fn try_pick<T: Copy>(&mut self, flag: &str, choices: &[(&str, T)]) -> Result<T, Stop> {
@@ -176,24 +197,32 @@ mod tests {
         n: u32,
         on: bool,
         mode: char,
+        gap: SimDuration,
         files: Vec<String>,
     }
 
-    /// A small command, `demo [--n N] [--on] [--mode a|b] FILE...`,
+    /// A small command, `demo [--n N] [--on] [--mode a|b] [--gap MS] FILE...`,
     /// parsed through the non-exiting paths the public methods wrap.
     fn parse(args: &[&str]) -> Result<Demo, Stop> {
         let mut cli = Args::new("demo", "usage: demo\n", args.iter().map(|a| a.to_string()));
-        let (mut n, mut on, mut mode) = (1, false, 'a');
+        let (mut n, mut on, mut mode, mut gap) = (1, false, 'a', SimDuration::ZERO);
         while let Some(flag) = cli.try_next_flag()? {
             match flag.as_str() {
                 "--n" => n = cli.try_value(&flag, "N")?,
                 "--on" => on = true,
                 "--mode" => mode = cli.try_pick(&flag, &[("a", 'a'), ("b", 'b')])?,
+                "--gap" => gap = cli.try_millis::<u64>(&flag, "MS")?,
                 _ => return Err(unknown(&flag)),
             }
         }
         let files = cli.positionals();
-        Ok(Demo { n, on, mode, files })
+        Ok(Demo {
+            n,
+            on,
+            mode,
+            gap,
+            files,
+        })
     }
 
     fn usage(args: &[&str]) -> String {
@@ -238,6 +267,24 @@ mod tests {
         assert_eq!(usage(&["--n", "-1"]), "--n requires N, got \"-1\"");
         assert_eq!(usage(&["--mode", "c"]), "--mode requires a|b, got \"c\"");
         assert_eq!(parse(&["--mode", "b"]).unwrap().mode, 'b');
+    }
+
+    #[test]
+    fn milliseconds_are_checked_for_overflow() {
+        assert_eq!(
+            parse(&["--gap", "250"]).unwrap().gap,
+            SimDuration::from_millis(250)
+        );
+        let max = (u64::MAX / 1_000).to_string();
+        assert_eq!(
+            parse(&["--gap", &max]).unwrap().gap.as_micros(),
+            u64::MAX / 1_000 * 1_000
+        );
+        assert_eq!(
+            usage(&["--gap", "18446744073709552"]),
+            "--gap 18446744073709552 ms overflows"
+        );
+        assert_eq!(usage(&["--gap", "x"]), "--gap requires MS, got \"x\"");
     }
 
     #[test]

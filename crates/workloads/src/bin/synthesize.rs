@@ -11,7 +11,6 @@ use std::io::BufWriter;
 use std::process::ExitCode;
 
 use simnet::cli::Args;
-use simnet::time::SimDuration;
 use tcp_trace::pcap::PcapWriter;
 use workloads::{generate_interleaved, synthesize_corpus, LiveGenSpec, LiveMechanism, Service};
 
@@ -128,9 +127,7 @@ fn run_mixed(mut cli: Args) -> ExitCode {
         match flag.as_str() {
             "--flows" => total_flows = cli.value(&flag, "a count"),
             "--seed" => spec.seed = cli.value(&flag, "an integer"),
-            "--mean-gap-ms" => {
-                spec.mean_gap = SimDuration::from_millis(cli.value(&flag, "milliseconds"))
-            }
+            "--mean-gap-ms" => spec.mean_gap = cli.millis::<u64>(&flag, "milliseconds"),
             "--threads" => spec.threads = cli.value(&flag, "a count"),
             "--mechanism" => spec.mechanism = cli.pick(&flag, &MECHANISMS),
             _ => cli.unknown(&flag),

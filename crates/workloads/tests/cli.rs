@@ -1,5 +1,6 @@
 //! `synthesize` parses its arguments before it writes anything: `--help`
-//! and a `-`-prefixed argument never become the name of a capture.
+//! and a `-`-prefixed argument never become the name of a capture, and
+//! an out-of-range value writes no capture at all.
 
 #[path = "../../../tests/support/cli.rs"]
 mod cli;
@@ -19,6 +20,10 @@ fn help_and_unknown_options_write_no_file() {
         (&["mixed", "-h", "--flows", "3"], 0),
         (&["mixed", "--out.pcap", "--flows", "3"], 2),
         (&["web", "--out.pcap", "--flows", "3"], 2),
+        (
+            &["mixed", "out.pcap", "--mean-gap-ms", "18446744073709552"],
+            2,
+        ),
     ] {
         let out = cli::run_in(&dir, SYNTHESIZE, args);
         assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");

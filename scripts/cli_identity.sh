@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Command-line identity: run every `tapo`, `repro` and `synthesize` call of
-# .github/workflows/ci.yml and crates/core/tests/golden.rs with two sets of
-# release binaries, and compare stdout, stderr, exit status and every file
-# written (CSVs under --out, synthesized captures) byte for byte.
+# .github/workflows/ci.yml and crates/core/tests/golden.rs, and the
+# single-fault `tapo live` usage errors of crates/core/tests/cli.rs, with
+# two sets of release binaries, and compare stdout, stderr, exit status and
+# every file written (CSVs under --out, synthesized captures) byte for byte.
 #
 #   scripts/cli_identity.sh <parent-bin-dir> <change-bin-dir> <work-dir>
 #
 # Each side runs in its own directory under <work-dir> with the same
 # relative paths, so path-derived daemon ids agree. Prints one line per
-# differing file and exits 1 if any differs; the 43 calls take a few
+# differing file and exits 1 if any differs; the 55 calls take a few
 # seconds per side on a 2-core machine.
 set -uo pipefail
 
@@ -78,6 +79,12 @@ calls() {
     t $B/tapo fleet live-promote.jsonl
     sed 's/"443":/"8443":/g' live-promote.jsonl > advise.in
     tin advise.in $B/tapo advise - --flows 6 --replicates 3 --threads 1
+    # crates/core/tests/cli.rs: one `tapo live` usage error per call
+    for bad in "--shards 0" "--interval 0" "--mss 0" "--dupthres 0" "--promote 0" \
+               "--batch 0" "--batch 65537" "--cells 0" "--cells 4097" "--daemon-id bad/id" \
+               "--demote 5" "--heavy-max 5"; do
+        tin /dev/null $B/tapo live - $bad
+    done
 }
 
 work=$3

@@ -231,12 +231,10 @@ impl QSketch {
     pub fn write_json(&self, out: &mut Out) {
         let min = if self.total == 0 { 0 } else { self.min };
         out.begin_object();
-        out.u64_members(&[
-            (key::N, self.total),
-            (key::ZERO, self.zero),
-            (key::MIN, min),
-            (key::MAX, self.max),
-        ]);
+        out.u64_members(&key::members(
+            key::SKETCH_FIELDS,
+            [self.total, self.zero, min, self.max],
+        ));
         out.key(key::BUCKETS).begin_array();
         for &(i, n) in &self.buckets {
             out.begin_array();
@@ -274,15 +272,35 @@ impl QSketch {
             }
         }
         Ok((|| {
-            let (total, min) = (total??, min??);
-            Some(QSketch {
-                zero: zero??,
-                total,
-                min: if total == 0 { u64::MAX } else { min },
-                max: max??,
-                buckets: buckets??,
-            })
+            QSketch::canonical(total??, zero??, min??, max??, buckets??)
         })())
+    }
+
+    /// The sketch a wire form describes, if that form is canonical: the
+    /// zero count and the bucket counts add up to `n` (without overflow),
+    /// and `min ≤ max` when `n > 0`. Every decoder builds through this one
+    /// constructor, so they all refuse the same inconsistent sketches; the
+    /// buckets come already checked by [`bucket`].
+    pub(crate) fn canonical(
+        total: u64,
+        zero: u64,
+        min: u64,
+        max: u64,
+        buckets: Vec<(u16, u64)>,
+    ) -> Option<QSketch> {
+        let counted = buckets
+            .iter()
+            .try_fold(zero, |sum, &(_, n)| sum.checked_add(n))?;
+        if counted != total || (total > 0 && min > max) {
+            return None;
+        }
+        Some(QSketch {
+            zero,
+            total,
+            min: if total == 0 { u64::MAX } else { min },
+            max,
+            buckets,
+        })
     }
 }
 
@@ -311,32 +329,27 @@ impl QSketch {
         let min = doc.get(key::MIN)?.as_u64()?;
         let max = doc.get(key::MAX)?.as_u64()?;
         let mut buckets = Vec::new();
-        let mut prev: Option<u16> = None;
         for pair in doc.get(key::BUCKETS)?.items()? {
             let cells = pair.items()?;
             if cells.len() != 2 {
                 return None;
             }
-            let idx = cells[0].as_u64()?;
-            let n = cells[1].as_u64()?;
-            if idx >= bounds().len() as u64 || n == 0 {
-                return None;
-            }
-            let idx = idx as u16;
-            if prev.is_some_and(|p| p >= idx) {
-                return None; // not strictly ascending — not canonical
-            }
-            prev = Some(idx);
-            buckets.push((idx, n));
+            buckets.push(bucket(
+                buckets.last(),
+                cells[0].as_u64()?,
+                cells[1].as_u64()?,
+            )?);
         }
-        Some(QSketch {
-            zero,
-            total,
-            min: if total == 0 { u64::MAX } else { min },
-            max,
-            buckets,
-        })
+        QSketch::canonical(total, zero, min, max, buckets)
     }
+}
+
+/// The pair `[idx, n]` of a canonical `b` array that follows `prev`: inside
+/// the bounds table, a non-zero count, strictly ascending. `None` for any
+/// other pair.
+pub(crate) fn bucket(prev: Option<&(u16, u64)>, idx: u64, n: u64) -> Option<(u16, u64)> {
+    let ascending = prev.is_none_or(|&(prev, _)| u64::from(prev) < idx);
+    (idx < bounds().len() as u64 && n != 0 && ascending).then_some((idx as u16, n))
 }
 
 /// The `b` array: `[bucket, count]` pairs, strictly ascending by bucket,
@@ -363,14 +376,10 @@ fn decode_buckets(cur: &mut Cursor<'_>) -> Result<Option<Vec<(u16, u64)>>, JsonE
             }
         }
         match cells {
-            [Some(idx), Some(n)]
-                if len == 2
-                    && idx < bounds().len() as u64
-                    && n != 0
-                    && buckets.last().is_none_or(|&(prev, _)| (prev as u64) < idx) =>
-            {
-                buckets.push((idx as u16, n));
-            }
+            [Some(idx), Some(n)] if len == 2 => match bucket(buckets.last(), idx, n) {
+                Some(pair) => buckets.push(pair),
+                None => canonical = false,
+            },
             _ => canonical = false,
         }
     }
@@ -381,7 +390,7 @@ fn decode_buckets(cur: &mut Cursor<'_>) -> Result<Option<Vec<(u16, u64)>>, JsonE
 /// validating: the `[` count up to the `]]` that ends a compact array of
 /// pairs. Only a capacity hint — one exact allocation per sketch on the
 /// emitters' output, a harmless guess on anything else.
-fn pair_hint(rest: &str) -> usize {
+pub(crate) fn pair_hint(rest: &str) -> usize {
     if rest.starts_with(']') {
         return 0;
     }

@@ -956,7 +956,7 @@ impl<'a> Cursor<'a> {
 /// The integer [`Cursor::number`] reads as a short plain `Int` — `0` or
 /// `[1-9][0-9]{0,17}` — at the start of `bytes`, when `end` follows it: its
 /// value and the bytes after `end`.
-fn plain_uint(bytes: &[u8], end: u8) -> Option<(u64, &[u8])> {
+pub(crate) fn plain_uint(bytes: &[u8], end: u8) -> Option<(u64, &[u8])> {
     let len = bytes
         .iter()
         .take(19)

@@ -25,28 +25,12 @@ use crate::FlowAnalysis;
 /// Machine-friendly column/key slug for a stall class (labels carry dots
 /// and spaces; slugs are stable identifiers).
 pub fn class_slug(class: StallClass) -> &'static str {
-    match class {
-        StallClass::DataUnavailable => "data_unavailable",
-        StallClass::ResourceConstraint => "resource_constraint",
-        StallClass::ClientIdle => "client_idle",
-        StallClass::ZeroWindow => "zero_window",
-        StallClass::PacketDelay => "packet_delay",
-        StallClass::Retransmission => "retransmission",
-        StallClass::Undetermined => "undetermined",
-    }
+    key::CAUSE_SLUGS[class.index()]
 }
 
 /// Machine-friendly slug for a retransmission subclass.
 pub fn retrans_slug(class: RetransClass) -> &'static str {
-    match class {
-        RetransClass::DoubleRetrans => "double_retrans",
-        RetransClass::TailRetrans => "tail_retrans",
-        RetransClass::SmallCwnd => "small_cwnd",
-        RetransClass::SmallRwnd => "small_rwnd",
-        RetransClass::ContinuousLoss => "continuous_loss",
-        RetransClass::AckDelayLoss => "ack_delay_loss",
-        RetransClass::Undetermined => "undetermined",
-    }
+    key::RETRANS_SLUGS[class.index()]
 }
 
 /// The `"breakdown"` section shared by daemon and fleet records: totals,
@@ -59,30 +43,18 @@ pub(crate) fn write_breakdown(
     by_retrans: &[(u64, u64); RetransClass::ALL.len()],
 ) {
     out.begin_object();
-    out.u64_members(&[(key::STALLS, stalls), (key::STALLED_US, stalled_us)]);
-    write_classes(
-        out.key(key::BY_CAUSE),
-        StallClass::ALL.map(class_slug),
-        by_cause,
-    );
-    write_classes(
-        out.key(key::BY_RETRANS),
-        RetransClass::ALL.map(retrans_slug),
-        by_retrans,
-    );
+    out.u64_members(&key::members(key::BREAKDOWN_TOTALS, [stalls, stalled_us]));
+    write_classes(out.key(key::BY_CAUSE), &key::CAUSE_SLUGS, by_cause);
+    write_classes(out.key(key::BY_RETRANS), &key::RETRANS_SLUGS, by_retrans);
     out.end_object();
 }
 
 /// `{n, us}` per class, keyed by the classes' slugs.
-fn write_classes(
-    out: &mut Out,
-    slugs: impl IntoIterator<Item = &'static str>,
-    counts: &[(u64, u64)],
-) {
+fn write_classes(out: &mut Out, slugs: &[&'static str], counts: &[(u64, u64)]) {
     out.begin_object();
-    for (slug, &(n, us)) in slugs.into_iter().zip(counts) {
+    for (slug, &(n, us)) in slugs.iter().zip(counts) {
         out.key(slug).begin_object();
-        out.u64_members(&[(key::N, n), (key::US, us)]);
+        out.u64_members(&key::members(key::CLASS_STATS, [n, us]));
         out.end_object();
     }
     out.end_object();
@@ -106,11 +78,10 @@ pub(crate) fn write_by_port(out: &mut Out, by_port: &[(u16, PortDelta)]) {
     out.begin_object();
     for (port, d) in by_port {
         out.int_key(u64::from(*port)).begin_object();
-        out.u64_members(&[
-            (key::FLOWS, d.flows),
-            (key::STALLS, d.stalls),
-            (key::STALLED_US, d.stalled_us),
-        ]);
+        out.u64_members(&key::members(
+            key::PORT_FIELDS,
+            [d.flows, d.stalls, d.stalled_us],
+        ));
         out.end_object();
     }
     out.end_object();
@@ -395,28 +366,29 @@ impl Record for IntervalReport {
         out.begin_object();
         out.key(key::KIND).str(key::KIND_INTERVAL);
         out.key(key::DAEMON).str(self.daemon.as_str());
-        out.u64_members(&[
-            (key::INTERVAL, self.interval),
-            (key::START_US, self.start_us),
-            (key::END_US, self.end_us),
-            (key::PACKETS, self.packets),
-        ]);
-        out.key("pkts_per_sec").f64(self.pkts_per_sec());
-        out.u64_members(&[
-            ("packets_skipped", self.packets_skipped),
-            ("packets_late", self.packets_late),
-            ("flows_opened", self.flows_opened),
-            (key::FLOWS_FINALIZED, self.flows_finalized),
-            ("flows_closed", self.flows_closed),
-            ("flows_evicted_idle", self.flows_evicted_idle),
-            ("flows_shed", self.flows_shed),
-            ("active_flows", self.active_flows),
-            ("flows_light", self.flows_light),
-            ("flows_heavy", self.flows_heavy),
-            ("promotions", self.promotions),
-            ("demotions", self.demotions),
-            ("live_stalls", self.live_stalls),
-        ]);
+        out.u64_members(&key::members(
+            key::INTERVAL_HEAD,
+            [self.interval, self.start_us, self.end_us, self.packets],
+        ));
+        out.key(key::PKTS_PER_SEC).f64(self.pkts_per_sec());
+        out.u64_members(&key::members(
+            key::INTERVAL_COUNTERS,
+            [
+                self.packets_skipped,
+                self.packets_late,
+                self.flows_opened,
+                self.flows_finalized,
+                self.flows_closed,
+                self.flows_evicted_idle,
+                self.flows_shed,
+                self.active_flows,
+                self.flows_light,
+                self.flows_heavy,
+                self.promotions,
+                self.demotions,
+                self.live_stalls,
+            ],
+        ));
         write_stall_breakdown(out.key(key::BREAKDOWN), &self.breakdown);
         write_by_port(out.key(key::BY_PORT), &self.by_port);
         if let (Some(rtt), Some(stall)) = (&self.rtt_sketch, &self.stall_sketch) {

@@ -9,20 +9,30 @@
 //! whole stream with 1-based line attribution for errors, through the same
 //! framer as the aggregator ([`read_reports`]).
 //!
+//! A line is read one of two ways. Every interval line a daemon writes has
+//! the same byte layout, the one `IntervalReport::write_json` produces from
+//! the ordered key lists in `report::key`; a one-pass reader walks those
+//! lists over the line, checks each run of constant text with one slice
+//! compare and reads only the values. At the first byte that differs from
+//! that layout it gives up, and the cursor decode reads the line from its
+//! start: spacing, another key order, summaries, other report shapes and
+//! every error take that path, which is also the reference the tests hold
+//! the one-pass reader to.
+//!
 //! The parser is *tolerant* of missing top-level counters (older report
 //! shapes default them to zero, and a record without a daemon id is
 //! attributed to `"unknown"`) but *strict* about anything present: a
-//! malformed `by_port` slice, breakdown section, or sketch is an error,
-//! not a silent zero — that is how feeding the CSV rendering, or a pcap,
-//! fails fast.
+//! malformed `by_port` slice, breakdown section, or sketch (one whose
+//! counts do not add up included) is an error, not a silent zero — that is
+//! how feeding the CSV rendering, or a pcap, fails fast.
 
 use std::borrow::Cow;
 use std::io::BufRead;
 
 use crate::causes::{RetransClass, StallClass};
 use crate::fleet::read_reports;
-use crate::fleet::sketch::QSketch;
-use crate::json::{Cursor, JsonError};
+use crate::fleet::sketch::{bucket, pair_hint, QSketch};
+use crate::json::{plain_uint, Cursor, JsonError};
 use crate::live::{class_slug, retrans_slug, PortDelta};
 use crate::report::key;
 
@@ -228,6 +238,236 @@ fn decode_sketches(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Sec
     })())
 }
 
+/// The one-pass reader: `line` held to the exact bytes
+/// `IntervalReport::write_json` writes, in the writer's order and with the
+/// writer's key lists. Each run of constant text is one slice compare and
+/// only the values are read, straight into a [`ParsedInterval`]. At the
+/// first byte the writer would not have written there, and at any value
+/// the cursor decode would read as an error or read differently (an escape,
+/// a 19-digit integer, a sketch that is not canonical), it answers `None`,
+/// and the caller decodes the line with the cursor from its start.
+struct Layout<'a> {
+    /// The whole line, for the string slices handed out.
+    line: &'a str,
+    /// The bytes not yet read.
+    rest: &'a [u8],
+}
+
+impl<'a> Layout<'a> {
+    /// The unread part of `line`.
+    fn rest_str(&self) -> &'a str {
+        &self.line[self.line.len() - self.rest.len()..]
+    }
+
+    /// The next bytes are `text`.
+    #[inline(always)]
+    fn text(&mut self, text: &[u8]) -> Option<()> {
+        self.rest = self.rest.strip_prefix(text)?;
+        Some(())
+    }
+
+    /// Consume `byte` if it is next.
+    #[inline(always)]
+    fn eat(&mut self, byte: u8) -> bool {
+        self.text(&[byte]).is_some()
+    }
+
+    /// A member's key and colon, `"name":`.
+    #[inline(always)]
+    fn key(&mut self, name: &str) -> Option<()> {
+        let n = name.len();
+        let run = self.rest.get(..n + 3)?;
+        if run[0] != b'"' || &run[1..=n] != name.as_bytes() || run[n + 1..] != *b"\":" {
+            return None;
+        }
+        self.rest = &self.rest[n + 3..];
+        Some(())
+    }
+
+    /// A plain integer, then `end`.
+    #[inline(always)]
+    fn uint(&mut self, end: u8) -> Option<u64> {
+        let (n, rest) = plain_uint(self.rest, end)?;
+        self.rest = rest;
+        Some(n)
+    }
+
+    /// The integer members `names`, a comma after each but the last, which
+    /// `end` follows.
+    #[inline(always)]
+    fn fields<const N: usize>(&mut self, names: [&str; N], end: u8) -> Option<[u64; N]> {
+        let mut values = [0; N];
+        for (i, name) in names.iter().enumerate() {
+            self.key(name)?;
+            values[i] = self.uint(if i + 1 == N { end } else { b',' })?;
+        }
+        Some(values)
+    }
+
+    /// A string without escapes or control characters, then `end`.
+    fn plain_str(&mut self, end: u8) -> Option<&'a str> {
+        self.text(b"\"")?;
+        let text = self.rest_str();
+        let len = self
+            .rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        self.rest = self.rest[len..].strip_prefix(&[b'"', end])?;
+        Some(&text[..len])
+    }
+
+    /// A number held to the RFC 8259 grammar, then `end`: a value the
+    /// cursor decode skips, so it is checked and not kept.
+    fn number(&mut self, end: u8) -> Option<()> {
+        let b = self.rest;
+        let digits = |from: usize| b[from..].iter().take_while(|d| d.is_ascii_digit()).count();
+        let mut i = usize::from(b.first() == Some(&b'-'));
+        let int = digits(i);
+        if int == 0 || (int > 1 && b[i] == b'0') {
+            return None;
+        }
+        i += int;
+        if b.get(i) == Some(&b'.') {
+            let frac = digits(i + 1);
+            if frac == 0 {
+                return None;
+            }
+            i += 1 + frac;
+        }
+        if matches!(b.get(i), Some(b'e' | b'E')) {
+            i += 1 + usize::from(matches!(b.get(i + 1), Some(b'+' | b'-')));
+            let exp = digits(i);
+            if exp == 0 {
+                return None;
+            }
+            i += exp;
+        }
+        self.rest = b[i..].strip_prefix(&[end])?;
+        Some(())
+    }
+
+    /// `{"slug":{"n":…,"us":…},…}` over `slugs` in order, then `end`.
+    fn classes<const N: usize>(&mut self, slugs: [&str; N], end: u8) -> Option<[(u64, u64); N]> {
+        self.text(b"{")?;
+        let mut stats = [(0, 0); N];
+        for (i, slug) in slugs.iter().enumerate() {
+            self.key(slug)?;
+            self.text(b"{")?;
+            let [n, us] = self.fields(key::CLASS_STATS, b'}')?;
+            stats[i] = (n, us);
+            self.text(if i + 1 == N { b"}" } else { b"," })?;
+        }
+        self.eat(end).then_some(stats)
+    }
+
+    /// `by_port`: `{}`, or `"port":{…}` entries with decimal port keys.
+    fn ports(&mut self) -> Option<Vec<(u16, PortDelta)>> {
+        self.text(b"{")?;
+        let mut ports = Vec::new();
+        if self.eat(b'}') {
+            return Some(ports);
+        }
+        loop {
+            self.text(b"\"")?;
+            let text = self.rest_str();
+            let len = self.rest.iter().take_while(|b| b.is_ascii_digit()).count();
+            let port: u16 = text[..len].parse().ok()?;
+            self.rest = &self.rest[len..];
+            self.text(b"\":{")?;
+            let [flows, stalls, stalled_us] = self.fields(key::PORT_FIELDS, b'}')?;
+            let counts = PortDelta {
+                flows,
+                stalls,
+                stalled_us,
+            };
+            ports.push((port, counts));
+            if !self.eat(b',') {
+                break;
+            }
+        }
+        self.text(b"}")?;
+        Some(ports)
+    }
+
+    /// A sketch in its canonical wire form. The bucket vector is sized
+    /// exactly before it is filled.
+    fn sketch(&mut self) -> Option<QSketch> {
+        self.text(b"{")?;
+        let [total, zero, min, max] = self.fields(key::SKETCH_FIELDS, b',')?;
+        self.key(key::BUCKETS)?;
+        self.text(b"[")?;
+        let mut buckets = Vec::with_capacity(pair_hint(self.rest_str()));
+        if !self.eat(b']') {
+            loop {
+                self.text(b"[")?;
+                let idx = self.uint(b',')?;
+                let n = self.uint(b']')?;
+                buckets.push(bucket(buckets.last(), idx, n)?);
+                if !self.eat(b',') {
+                    break;
+                }
+            }
+            self.text(b"]")?;
+        }
+        self.text(b"}")?;
+        QSketch::canonical(total, zero, min, max, buckets)
+    }
+}
+
+/// The line through [`Layout`]: a record, or `None` for the cursor decode.
+fn read_layout(line: &str) -> Option<ParsedInterval> {
+    let mut r = Layout {
+        line,
+        rest: line.as_bytes(),
+    };
+    r.text(b"{")?;
+    r.key(key::KIND)?;
+    (r.plain_str(b',')? == key::KIND_INTERVAL).then_some(())?;
+    r.key(key::DAEMON)?;
+    let daemon = r.plain_str(b',')?;
+    let [interval, start_us, end_us, packets] = r.fields(key::INTERVAL_HEAD, b',')?;
+    r.key(key::PKTS_PER_SEC)?;
+    r.number(b',')?;
+    let counters = r.fields(key::INTERVAL_COUNTERS, b',')?;
+    r.key(key::BREAKDOWN)?;
+    r.text(b"{")?;
+    let [stalls, stalled_us] = r.fields(key::BREAKDOWN_TOTALS, b',')?;
+    r.key(key::BY_CAUSE)?;
+    let by_cause = r.classes(key::CAUSE_SLUGS, b',')?;
+    r.key(key::BY_RETRANS)?;
+    let by_retrans = r.classes(key::RETRANS_SLUGS, b'}')?;
+    r.text(b",")?;
+    r.key(key::BY_PORT)?;
+    let by_port = r.ports()?;
+    let (mut rtt_sketch, mut stall_sketch) = (None, None);
+    if r.eat(b',') {
+        r.key(key::SKETCHES)?;
+        r.text(b"{")?;
+        r.key(key::RTT_US)?;
+        rtt_sketch = Some(r.sketch()?);
+        r.text(b",")?;
+        r.key(key::STALL_US)?;
+        stall_sketch = Some(r.sketch()?);
+        r.text(b"}")?;
+    }
+    (r.rest == b"}").then_some(())?;
+    Some(ParsedInterval {
+        daemon: daemon.to_string(),
+        interval,
+        start_us,
+        end_us,
+        packets,
+        flows_finalized: counters[key::FLOWS_FINALIZED_AT],
+        stalls,
+        stalled_us,
+        by_cause,
+        by_retrans,
+        by_port,
+        rtt_sketch,
+        stall_sketch,
+    })
+}
+
 /// The pull decode of one line. The outer error is a syntax error, which
 /// outranks everything; the inner result is what the line says once it is
 /// known to be one well-formed document.
@@ -286,14 +526,23 @@ fn decode_line(line: &str) -> Result<Result<Option<ParsedInterval>, String>, Jso
 /// total. Anything malformed is `Err(message)` (the caller attributes the
 /// line number).
 ///
-/// Fields come straight off a `json::Cursor`; no tree is built. The result is
-/// what reading a [`Json`](crate::json::Json) tree with `get` would give:
-/// the first occurrence of a key is the one read (repeated class slugs
+/// A line in the exact layout `IntervalReport::write_json` writes is read
+/// in one pass over its bytes; any other line is read from its first byte
+/// by the cursor decode, which pulls fields straight off a `json::Cursor`.
+/// Neither builds a tree, and both give what reading a
+/// [`Json`](crate::json::Json) tree with `get` would give: the first
+/// occurrence of a key is the one read (repeated class slugs
 /// inside `by_cause` / `by_retrans` overwrite, and every `by_port` pair is
 /// kept), a syntax error anywhere in the line — inside keys this decoder
 /// skips included — outranks a malformed section, and malformed sections
 /// are reported in `breakdown`, `by_port`, `sketches` order.
 pub fn parse_interval_line(line: &str) -> Result<Option<ParsedInterval>, String> {
+    read_layout(line).map_or_else(|| cursor_decode(line), |rec| Ok(Some(rec)))
+}
+
+/// The cursor decode alone, the path for every line [`read_layout`] does
+/// not answer.
+fn cursor_decode(line: &str) -> Result<Option<ParsedInterval>, String> {
     decode_line(line).map_err(|e| format!("not a JSON report: {e}"))?
 }
 
@@ -674,8 +923,8 @@ mod tests {
     }
 
     /// One to three edits: delete a slice, insert a byte, replace a byte,
-    /// repeat a slice. Templates and alphabet are ASCII, so the result is
-    /// always a `&str`.
+    /// replace a digit, repeat a slice. Templates and alphabet are ASCII,
+    /// so the result is always a `&str`.
     fn mutate(template: &str, rng: &mut Rng) -> String {
         const ALPHABET: &[u8] = b"{}[]\",:\\-+.0123456789eEtrufalsn x/";
         let mut line = template.as_bytes().to_vec();
@@ -684,7 +933,7 @@ mod tests {
             let (x, y) = (rng.cut(&line, on_comma), rng.cut(&line, on_comma));
             let (a, b) = (x.min(y), x.max(y));
             let byte = ALPHABET[rng.below(ALPHABET.len())];
-            match rng.below(4) {
+            match rng.below(5) {
                 0 => drop(line.drain(a..b)),
                 1 => line.insert(a, byte),
                 2 => {
@@ -693,6 +942,13 @@ mod tests {
                         // value, not a broken token.
                         let digit = slot.is_ascii_digit() && byte & 1 == 0;
                         *slot = if digit { b'0' + byte % 10 } else { byte };
+                    }
+                }
+                3 => {
+                    // The next digit for another: most such lines keep the
+                    // writer's layout, with a changed value.
+                    if let Some(i) = line[a..].iter().position(u8::is_ascii_digit) {
+                        line[a + i] = b'0' + byte % 10;
                     }
                 }
                 _ => {
@@ -731,10 +987,19 @@ mod tests {
         let mut rng = Rng(0x7a90_2015);
         // Syntax errors, section errors, skipped lines, records.
         let mut outcomes = [0u32; 4];
+        // Lines the cursor decode read, and lines the one-pass reader read.
+        let mut paths = [0u32; 2];
         for i in 0..100_000 {
             let line = mutate(&templates[i % templates.len()], &mut rng);
             let pull = parse_interval_line(&line);
             assert_eq!(pull, tree_decode(&line), "{line}");
+            // Wherever the one-pass reader answers, it answers what the
+            // cursor decode reads.
+            let layout = read_layout(&line);
+            if let Some(rec) = &layout {
+                assert_eq!(cursor_decode(&line), Ok(Some(rec.clone())), "{line}");
+            }
+            paths[layout.is_some() as usize] += 1;
             let syntax = matches!(&pull, Err(e) if e.starts_with("not a JSON report:"));
             // The validator refuses exactly what the tree-builder refuses,
             // in the same words.
@@ -749,8 +1014,10 @@ mod tests {
                 Ok(Some(_)) => 3,
             }] += 1;
         }
-        // The comparison has teeth only if every kind of outcome is common.
+        // The comparison has teeth only if every kind of outcome, and each
+        // path, is common.
         assert!(outcomes.iter().all(|&n| n >= 2_000), "{outcomes:?}");
+        assert!(paths.iter().all(|&n| n >= 2_000), "{paths:?}");
     }
 
     #[test]
@@ -853,6 +1120,140 @@ mod tests {
         assert_eq!(
             parse_interval_line(&interval("\"sketches\":{},\"by_port\":[],\"breakdown\":7")),
             Err("breakdown is not an object".into())
+        );
+    }
+
+    /// The one-pass reader's answer, held to the cursor decode's.
+    fn layout_read(line: &str) -> Option<ParsedInterval> {
+        let rec = read_layout(line)?;
+        assert_eq!(cursor_decode(line), Ok(Some(rec.clone())), "{line}");
+        Some(rec)
+    }
+
+    #[test]
+    fn every_line_the_emitter_writes_takes_the_one_pass_path() {
+        let mut wide = QSketch::new();
+        let mut draw = 7;
+        for _ in 0..2_000 {
+            draw = splitmix64(draw);
+            wide.insert(draw % 3 * (draw % 40_000_000_000));
+        }
+        assert!(wide.to_json().compact().matches('[').count() > 200);
+        let many_ports: Vec<(u16, PortDelta)> = (0..12)
+            .map(|i| {
+                let counts = PortDelta {
+                    flows: i,
+                    stalls: i / 2,
+                    stalled_us: i * 1_000,
+                };
+                (i as u16 * 5_000 + 7, counts)
+            })
+            .collect();
+        let base = sample_report();
+        let mut reports = vec![base.clone()];
+        let mut push = |edit: &dyn Fn(&mut IntervalReport)| {
+            let mut r = base.clone();
+            edit(&mut r);
+            reports.push(r);
+        };
+        push(&|r| (r.rtt_sketch, r.stall_sketch) = (None, None));
+        push(&|r| r.by_port.clear());
+        push(&|r| r.by_port = many_ports.clone());
+        push(&|r| (r.rtt_sketch, r.stall_sketch) = (Some(QSketch::new()), Some(wide.clone())));
+        push(&|r| r.end_us = r.start_us + 3_000_000);
+        push(&|r| r.daemon = DaemonId::new(&"fe-0.pop:a".repeat(4)).unwrap());
+        push(&|r| {
+            r.packets = 999_999_999_999_999_999;
+            r.flows_finalized = 100_000_000_000_000_000;
+            r.by_port[0].1.stalled_us = 999_999_999_999_999_999;
+        });
+        assert!(layout_read(REAL_LINE).is_some());
+        for report in &reports {
+            let line = report.to_json().compact();
+            assert!(layout_read(&line).is_some(), "{line}");
+        }
+        assert!(reports[2].to_json().compact().contains("\"by_port\":{}"));
+        assert!(reports[5]
+            .to_json()
+            .compact()
+            .contains("\"pkts_per_sec\":133.3"));
+        assert_eq!(reports[6].daemon.as_str().len(), 40);
+        assert!(reports[7]
+            .to_json()
+            .compact()
+            .contains("999999999999999999"));
+
+        // A 19-digit value is past the plain integers, and per-shard
+        // occupancy (`tapo live --per-shard`) is a member past the layout:
+        // the cursor decode reads those lines, to the record the emitter
+        // meant.
+        let mut big = sample_report();
+        big.packets = 1_000_000_000_000_000_000;
+        let mut occupancy = sample_report();
+        occupancy.shard_occupancy = Some(vec![3, 0, 12]);
+        for report in [big, occupancy] {
+            let line = report.to_json().compact();
+            assert_eq!(read_layout(&line), None);
+            let rec = parse_interval_line(&line).unwrap().unwrap();
+            assert_eq!(rec.packets, report.packets);
+            assert_eq!(Ok(Some(rec)), tree_decode(&line));
+        }
+
+        // What `tapo live` wrote for the committed golden captures.
+        for stream in [
+            include_str!("../../tests/golden/live-heavy.jsonl"),
+            include_str!("../../tests/golden/live-promote.jsonl"),
+        ] {
+            let intervals = stream
+                .lines()
+                .filter(|l| l.contains("\"kind\":\"interval\""));
+            assert!(intervals.clone().count() > 0);
+            for line in intervals {
+                assert!(layout_read(line).is_some(), "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sketch_whose_counts_do_not_add_up_is_malformed() {
+        let empty = r#"{"n":0,"zero":0,"min":0,"max":0,"b":[]}"#;
+        let line = |rtt: &str| {
+            format!(
+                "{{\"kind\":\"interval\",\"sketches\":{{\"rtt_us\":{rtt},\"stall_us\":{empty}}}}}"
+            )
+        };
+        let malformed = Err("sketches: malformed \"rtt_us\"".to_string());
+        for rtt in [
+            // Fewer samples in the buckets than `n`, and `min > max`.
+            r#"{"n":1000,"zero":0,"min":7,"max":3,"b":[]}"#,
+            r#"{"n":1000,"zero":0,"min":3,"max":7,"b":[]}"#,
+            // More than `n`.
+            r#"{"n":2,"zero":1,"min":0,"max":9,"b":[[100,2]]}"#,
+            // The counts add up, the bounds do not.
+            r#"{"n":1,"zero":0,"min":9,"max":3,"b":[[100,1]]}"#,
+            // The sum overflows `u64`.
+            r#"{"n":9223372036854775807,"zero":9223372036854775807,"min":1,"max":2,"b":[[1,9223372036854775807],[2,9223372036854775807]]}"#,
+        ] {
+            assert_eq!(parse_interval_line(&line(rtt)), malformed, "{rtt}");
+            assert_eq!(tree_decode(&line(rtt)), malformed, "{rtt}");
+        }
+        for rtt in [
+            empty,
+            r#"{"n":3,"zero":1,"min":0,"max":9,"b":[[100,2]]}"#,
+            r#"{"n":1,"zero":0,"min":5,"max":5,"b":[[100,1]]}"#,
+        ] {
+            assert!(parse_interval_line(&line(rtt)).is_ok(), "{rtt}");
+        }
+        // In the writer's layout too, and named with its line number.
+        let good = sample_report().to_json().compact();
+        let bad = good.replacen("\"rtt_us\":{\"n\":40,", "\"rtt_us\":{\"n\":1000,", 1);
+        assert_ne!(good, bad);
+        assert_eq!(read_layout(&bad), None);
+        let stream = format!("{good}\n{bad}\n");
+        let err = parse_reports(stream.as_bytes()).unwrap_err();
+        assert_eq!(
+            (err.line, err.message),
+            (2, "sketches: malformed \"rtt_us\"".into())
         );
     }
 }

@@ -1,4 +1,5 @@
-//! Exact allocation counts of report rendering, held to committed values.
+//! Exact allocation counts of report rendering and parsing, held to
+//! committed values.
 //!
 //! Wall time on a shared machine swings by tens of percent between runs;
 //! the number of heap allocations a single-threaded render makes over a
@@ -12,7 +13,10 @@
 //!   through `IntervalReport::to_json().compact()`, the path that hands a
 //!   line out as a `String`;
 //! * `sink.fleet_record`: the most any `tapo fleet` record (interval,
-//!   alert or summary) costs through a sink past its first record.
+//!   alert or summary) costs through a sink past its first record;
+//! * `parse.interval_line`: the most any interval line costs through
+//!   `parse_interval_line`, the decode `tapo fleet` and `tapo advise` read
+//!   report streams with (the record it returns included).
 //!
 //! The file is a ratchet. A count above its committed value fails: the
 //! change made rendering allocate more. A count below it fails too, until
@@ -122,6 +126,13 @@ fn rendering_allocates_no_more_than_committed() {
         .max()
         .unwrap();
     costs.push(("interval.to_json_compact", to_json_compact));
+    let lines: Vec<String> = reports.iter().map(|r| r.to_json().compact()).collect();
+    let parse = lines
+        .iter()
+        .map(|line| allocs(|| drop(parse_interval_line(line))))
+        .max()
+        .unwrap();
+    costs.push(("parse.interval_line", parse));
 
     // Three daemons' streams (the same capture under three ids) through
     // the aggregator.
@@ -183,5 +194,6 @@ fn rendering_allocates_no_more_than_committed() {
 }
 
 /// The comment block at the top of `costs.txt`.
-const HEADER: &str = "# Allocations per rendered record, the worst over a seeded capture's\n\
-                      # records; checked by crates/core/tests/costs.rs, which documents each.\n";
+const HEADER: &str = "# Allocations per rendered or parsed record, the worst over a seeded\n\
+                      # capture's records; checked by crates/core/tests/costs.rs, which\n\
+                      # documents each.\n";

@@ -23,12 +23,19 @@
 //! The retransmission subtree applies the Table 5 rules **in the paper's
 //! priority order**: double retransmission → tail retransmission → small
 //! cwnd → small rwnd → continuous loss → ACK delay/loss → undetermined.
+//!
+//! The tree is one pure function, [`decide`], over a plain [`Evidence`]
+//! record. TAPO fills the record from its replay of the trace; the
+//! ground-truth oracle ([`crate::validate`]) fills the Table-5 part from
+//! the simulator's true sender state and calls the same [`decide`], so a
+//! disagreement between them is a disagreement about state, never about
+//! policy.
 
 use simnet::time::{SimDuration, SimTime};
 use tcp_trace::record::{Direction, TraceRecord};
 
 use crate::causes::{RetransCause, StallCause};
-use crate::replay::{EstCaState, Replay, Snapshot};
+use crate::replay::{EstCaState, Replay, RetransKind, Snapshot};
 
 /// Classifier thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,19 +80,151 @@ pub struct Stall {
 #[derive(Debug, Clone)]
 pub(crate) struct Candidate {
     pub start: SimTime,
-    pub end: SimTime,
     pub end_record: usize,
     pub snapshot: Snapshot,
+    /// The packet ending the stall.
+    pub rec: TraceRecord,
 }
 
-/// Classify one candidate using the completed replay.
-pub(crate) fn classify(
-    cand: &Candidate,
-    rec: &TraceRecord,
-    replay: &Replay,
-    cfg: &ClassifyConfig,
-) -> Stall {
-    let cause = decide(cand, rec, replay, cfg);
+/// Every input of the decision tree, for one stall-ending packet. The
+/// first five fields walk Fig. 5; the rest are read only when the packet
+/// is a retransmission (`nth ≥ 1`) and walk Table 5.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Evidence {
+    /// The packet came from the client.
+    pub inbound: bool,
+    /// It carries payload.
+    pub data: bool,
+    /// It carries an ACK.
+    pub ack: bool,
+    /// The peer's advertised window was zero during the stall.
+    pub zero_rwnd: bool,
+    /// Outbound data that opens a response.
+    pub head: bool,
+    /// Which retransmission of its segment the packet is (1 = first);
+    /// 0 when it is not a retransmission.
+    pub nth: u32,
+    /// The segment's first retransmission was a fast retransmit.
+    pub first_was_fast: bool,
+    /// The data had arrived after all (DSACKed): only feedback was late.
+    pub delivered: bool,
+    /// Too few segments follow it in its response to raise dupthres
+    /// dupacks.
+    pub tail: bool,
+    /// The sender was in Open or Disorder when the stall began.
+    pub open_state: bool,
+    /// Packets in flight when the stall began.
+    pub flight: u64,
+    /// Packets outstanding when the stall began.
+    pub window: u64,
+    /// The receive window, not cwnd, bounded the flight (Eq. 2).
+    pub rwnd_limited: bool,
+    /// SACKs or dupacks came back for the window before the timeout.
+    pub feedback: bool,
+}
+
+impl Evidence {
+    /// What the replay knows about a candidate's ending packet.
+    fn from_replay(cand: &Candidate, replay: &Replay, cfg: &ClassifyConfig) -> Evidence {
+        let (rec, snap) = (&cand.rec, &cand.snapshot);
+        let mut ev = Evidence {
+            inbound: rec.dir == Direction::In,
+            data: rec.has_data(),
+            ack: rec.flags.ack,
+            zero_rwnd: snap.rwnd == 0,
+            ..Evidence::default()
+        };
+        if ev.inbound || !ev.data {
+            return ev;
+        }
+        ev.nth = replay
+            .retrans_events
+            .iter()
+            .find(|e| e.idx == cand.end_record)
+            .map_or(0, |e| e.nth);
+        if ev.nth == 0 {
+            ev.head = replay.is_head(rec.seq);
+            return ev;
+        }
+        let hist = replay.hist.get(rec.seq);
+        let mss = replay.config().mss as u64;
+        Evidence {
+            first_was_fast: hist.is_some_and(|h| h.first_retrans == Some(RetransKind::Fast)),
+            // The paper's rules use the trace's *real*, DSACK-corrected
+            // loss knowledge (§3.3).
+            delivered: hist.is_some_and(|h| h.dsacked),
+            tail: replay.is_tail(rec.seq, rec.len),
+            open_state: matches!(snap.ca_state, EstCaState::Open | EstCaState::Disorder),
+            flight: snap.in_flight.into(),
+            window: snap.packets_out.into(),
+            rwnd_limited: snap.rwnd < cfg.small_in_flight as u64 * mss,
+            feedback: snap.sacked_out > 0 || snap.dupacks > 0,
+            ..ev
+        }
+    }
+}
+
+/// Walk Fig. 5, then Table 5 for a timeout retransmission, in the paper's
+/// priority order.
+pub fn decide(ev: &Evidence, cfg: &ClassifyConfig) -> StallCause {
+    if ev.inbound {
+        return if ev.data {
+            StallCause::ClientIdle
+        } else if ev.zero_rwnd {
+            StallCause::ZeroWindow
+        } else if ev.ack {
+            StallCause::PacketDelay
+        } else {
+            StallCause::Undetermined
+        };
+    }
+    if !ev.data {
+        // A persist (zero-window) probe ended the stall.
+        return if ev.zero_rwnd {
+            StallCause::ZeroWindow
+        } else {
+            StallCause::Undetermined
+        };
+    }
+    if ev.nth == 0 {
+        return if ev.head {
+            StallCause::DataUnavailable
+        } else if ev.zero_rwnd {
+            StallCause::ZeroWindow
+        } else {
+            StallCause::ResourceConstraint
+        };
+    }
+    // Data proved delivered rules out every loss-based rule below.
+    let lost = !ev.delivered;
+    StallCause::Retransmission(if ev.nth >= 2 {
+        RetransCause::DoubleRetrans {
+            first_was_fast: ev.first_was_fast,
+        }
+    } else if lost && ev.tail {
+        RetransCause::TailRetrans {
+            open_state: ev.open_state,
+        }
+    } else if lost && ev.flight < cfg.small_in_flight as u64 {
+        // Fast retransmit starved of dupacks: blame the limiting window.
+        if ev.rwnd_limited {
+            RetransCause::SmallRwnd
+        } else {
+            RetransCause::SmallCwnd
+        }
+    } else if lost && ev.window >= cfg.continuous_loss_min as u64 && !ev.feedback {
+        // A whole window vanished without any feedback before the timeout.
+        RetransCause::ContinuousLoss
+    } else if ev.delivered {
+        RetransCause::AckDelayLoss
+    } else {
+        RetransCause::Undetermined
+    })
+}
+
+/// Classify one candidate using the replay so far (complete at finish).
+pub(crate) fn classify(cand: &Candidate, replay: &Replay, cfg: &ClassifyConfig) -> Stall {
+    let rec = &cand.rec;
     let denom = replay.snd_nxt().max(1) as f64;
     let rel_position = if rec.dir == Direction::Out && rec.has_data() {
         (rec.seq as f64 / denom).min(1.0)
@@ -94,120 +233,13 @@ pub(crate) fn classify(
     };
     Stall {
         start: cand.start,
-        end: cand.end,
-        duration: cand.end.saturating_since(cand.start),
+        end: rec.t,
+        duration: rec.t.saturating_since(cand.start),
         end_record: cand.end_record,
-        cause,
+        cause: decide(&Evidence::from_replay(cand, replay, cfg), cfg),
         snapshot: cand.snapshot,
         rel_position,
     }
-}
-
-fn decide(
-    cand: &Candidate,
-    rec: &TraceRecord,
-    replay: &Replay,
-    cfg: &ClassifyConfig,
-) -> StallCause {
-    let snap = &cand.snapshot;
-    match rec.dir {
-        Direction::In => {
-            if rec.has_data() {
-                StallCause::ClientIdle
-            } else if snap.rwnd == 0 {
-                StallCause::ZeroWindow
-            } else if rec.flags.ack {
-                StallCause::PacketDelay
-            } else {
-                StallCause::Undetermined
-            }
-        }
-        Direction::Out => {
-            if rec.has_data() {
-                if let Some(ev) = replay
-                    .retrans_events
-                    .iter()
-                    .find(|e| e.idx == cand.end_record)
-                {
-                    return StallCause::Retransmission(retrans_cause(
-                        rec, ev.nth, snap, replay, cfg,
-                    ));
-                }
-                if replay.is_head(rec.seq) {
-                    StallCause::DataUnavailable
-                } else if snap.rwnd == 0 {
-                    StallCause::ZeroWindow
-                } else {
-                    StallCause::ResourceConstraint
-                }
-            } else if snap.rwnd == 0 {
-                // A persist (zero-window) probe ended the stall.
-                StallCause::ZeroWindow
-            } else {
-                StallCause::Undetermined
-            }
-        }
-    }
-}
-
-fn retrans_cause(
-    rec: &TraceRecord,
-    nth: u32,
-    snap: &Snapshot,
-    replay: &Replay,
-    cfg: &ClassifyConfig,
-) -> RetransCause {
-    let mss = replay.config().mss as u64;
-
-    // 1. Double retransmission: the segment had already been retransmitted.
-    if nth >= 2 {
-        let first_was_fast = replay
-            .hist
-            .get(rec.seq)
-            .and_then(|h| h.first_retrans)
-            .map(|k| k == crate::replay::RetransKind::Fast)
-            .unwrap_or(false);
-        return RetransCause::DoubleRetrans { first_was_fast };
-    }
-
-    // The paper's rules use the trace's *real*, DSACK-corrected loss
-    // knowledge (§3.3): a retransmission later reported as a duplicate by
-    // DSACK means the data was never lost, so the loss-based rules below
-    // cannot apply — the stall was caused by delayed or dropped ACKs.
-    let dsacked = replay.hist.get(rec.seq).is_some_and(|h| h.dsacked);
-
-    // 2. Tail retransmission: too few segments after it in its response to
-    // raise dupthres dupacks.
-    if !dsacked && replay.is_tail(rec.seq, rec.len) {
-        let open_state = matches!(snap.ca_state, EstCaState::Open | EstCaState::Disorder);
-        return RetransCause::TailRetrans { open_state };
-    }
-
-    // 3/4. Small in-flight: fast retransmit starved of dupacks. Attribute
-    // to whichever window was the limiter (Eq. 2).
-    if !dsacked && snap.in_flight < cfg.small_in_flight {
-        if snap.rwnd < cfg.small_in_flight as u64 * mss {
-            return RetransCause::SmallRwnd;
-        }
-        return RetransCause::SmallCwnd;
-    }
-
-    // 5. Continuous loss: a whole window (≥ 4) vanished without any
-    // feedback before the timeout.
-    if snap.packets_out >= cfg.continuous_loss_min
-        && snap.sacked_out == 0
-        && snap.dupacks == 0
-        && !dsacked
-    {
-        return RetransCause::ContinuousLoss;
-    }
-
-    // 6. ACK delay/loss: the data was delivered after all (DSACKed later).
-    if dsacked {
-        return RetransCause::AckDelayLoss;
-    }
-
-    RetransCause::Undetermined
 }
 
 #[cfg(test)]
@@ -540,6 +572,157 @@ mod tests {
             retrans[0].cause,
             StallCause::Retransmission(RetransCause::AckDelayLoss)
         );
+    }
+
+    #[test]
+    fn decide_walks_every_leaf_in_priority_order() {
+        use RetransCause as R;
+        use StallCause as C;
+        let inb = Evidence {
+            inbound: true,
+            ..Evidence::default()
+        };
+        let out = Evidence {
+            data: true,
+            ..Evidence::default()
+        };
+        // A first retransmission in a full window that saw feedback: no
+        // Table-5 rule matches until a row sets one field.
+        let rto = Evidence {
+            nth: 1,
+            flight: 8,
+            window: 8,
+            feedback: true,
+            ..out
+        };
+        let rows = [
+            // Fig. 5, inbound.
+            (Evidence { data: true, ..inb }, C::ClientIdle),
+            (
+                Evidence {
+                    zero_rwnd: true,
+                    ..inb
+                },
+                C::ZeroWindow,
+            ),
+            (Evidence { ack: true, ..inb }, C::PacketDelay),
+            (inb, C::Undetermined),
+            // Fig. 5, outbound.
+            (Evidence { head: true, ..out }, C::DataUnavailable),
+            (
+                Evidence {
+                    zero_rwnd: true,
+                    ..out
+                },
+                C::ZeroWindow,
+            ),
+            (out, C::ResourceConstraint),
+            (
+                Evidence {
+                    zero_rwnd: true,
+                    ..Evidence::default()
+                },
+                C::ZeroWindow,
+            ),
+            (Evidence::default(), C::Undetermined),
+            // Table 5.
+            (
+                Evidence {
+                    nth: 2,
+                    first_was_fast: true,
+                    ..rto
+                },
+                C::Retransmission(R::DoubleRetrans {
+                    first_was_fast: true,
+                }),
+            ),
+            (
+                Evidence {
+                    tail: true,
+                    open_state: true,
+                    ..rto
+                },
+                C::Retransmission(R::TailRetrans { open_state: true }),
+            ),
+            (
+                Evidence { flight: 2, ..rto },
+                C::Retransmission(R::SmallCwnd),
+            ),
+            (
+                Evidence {
+                    flight: 2,
+                    rwnd_limited: true,
+                    ..rto
+                },
+                C::Retransmission(R::SmallRwnd),
+            ),
+            (
+                Evidence {
+                    feedback: false,
+                    ..rto
+                },
+                C::Retransmission(R::ContinuousLoss),
+            ),
+            (
+                Evidence {
+                    delivered: true,
+                    ..rto
+                },
+                C::Retransmission(R::AckDelayLoss),
+            ),
+            (rto, C::Retransmission(R::Undetermined)),
+            // Priority.
+            (
+                Evidence {
+                    nth: 2,
+                    delivered: true,
+                    ..rto
+                },
+                C::Retransmission(R::DoubleRetrans {
+                    first_was_fast: false,
+                }),
+            ),
+            (
+                Evidence {
+                    delivered: true,
+                    tail: true,
+                    ..rto
+                },
+                C::Retransmission(R::AckDelayLoss),
+            ),
+            (
+                Evidence {
+                    tail: true,
+                    flight: 1,
+                    ..rto
+                },
+                C::Retransmission(R::TailRetrans { open_state: false }),
+            ),
+            (
+                Evidence {
+                    flight: 2,
+                    window: 4,
+                    feedback: false,
+                    ..rto
+                },
+                C::Retransmission(R::SmallCwnd),
+            ),
+            (
+                Evidence { head: true, ..rto },
+                C::Retransmission(R::Undetermined),
+            ),
+            (
+                Evidence {
+                    data: true,
+                    zero_rwnd: true,
+                    ..inb
+                },
+                C::ClientIdle,
+            ),
+        ];
+        for (ev, want) in rows {
+            assert_eq!(decide(&ev, &ClassifyConfig::default()), want, "{ev:?}");
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub use validate::{Confusion, ValidationReport};
 
 use simnet::time::SimDuration;
 use tcp_trace::flow::FlowTrace;
+use tcp_trace::record::RecordSink;
 
 /// Analyzer configuration: replay assumptions plus classifier thresholds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -133,76 +134,17 @@ impl FlowAnalysis {
             (self.metrics.stalled_time.as_secs_f64() / d).min(1.0)
         }
     }
-
-    /// Assemble the analysis from classified stalls and a finished replay —
-    /// the single finalization path shared by the offline [`analyze_flow`]
-    /// and the streaming [`StreamAnalyzer::finish`], so offline and
-    /// streaming metrics cannot drift.
-    pub(crate) fn finalize(
-        stalls: Vec<Stall>,
-        duration: SimDuration,
-        wire_bytes_out: u64,
-        data_pkts_out: u64,
-        time_regressions: u64,
-        replay: &mut Replay,
-    ) -> FlowAnalysis {
-        let stalled_time = stalls
-            .iter()
-            .fold(SimDuration::ZERO, |acc, s| acc + s.duration);
-        let goodput = replay.snd_nxt();
-        let mean = |v: &[SimDuration]| {
-            if v.is_empty() {
-                None
-            } else {
-                Some(SimDuration::from_micros(
-                    v.iter().map(|d| d.as_micros()).sum::<u64>() / v.len() as u64,
-                ))
-            }
-        };
-        let metrics = FlowMetrics {
-            duration,
-            stalled_time,
-            goodput_bytes: goodput,
-            wire_bytes_out,
-            data_pkts_out,
-            retrans_pkts: replay.retrans_events.len() as u64,
-            mean_rtt: mean(&replay.rtt_samples),
-            mean_rto: mean(&replay.rto_samples),
-            avg_speed_bps: if duration.is_zero() {
-                0.0
-            } else {
-                goodput as f64 / duration.as_secs_f64()
-            },
-        };
-        FlowAnalysis {
-            stalls,
-            metrics,
-            rtt_samples: std::mem::take(&mut replay.rtt_samples),
-            rto_samples: std::mem::take(&mut replay.rto_samples),
-            in_flight_on_ack: std::mem::take(&mut replay.in_flight_on_ack),
-            init_rwnd: replay.init_rwnd,
-            zero_rwnd_seen: replay.zero_rwnd_seen,
-            time_regressions,
-        }
-    }
 }
 
-/// Recyclable offline-analysis arenas: the replay state and stall-candidate
-/// buffer [`analyze_flow_with`] rewinds and reuses across flows, so a
-/// worker analyzing a corpus stops paying a fresh allocation round per
-/// trace.
+/// Recyclable offline-analysis arenas: one [`StreamAnalyzer`] that
+/// [`analyze_flow_with`] rewinds and reuses across flows, so a worker
+/// analyzing a corpus stops paying a fresh allocation round per trace.
 #[derive(Debug)]
-pub struct AnalyzeScratch {
-    replay: Replay,
-    candidates: Vec<classify::Candidate>,
-}
+pub struct AnalyzeScratch(StreamAnalyzer);
 
 impl Default for AnalyzeScratch {
     fn default() -> Self {
-        AnalyzeScratch {
-            replay: Replay::new(ReplayConfig::default()),
-            candidates: Vec::new(),
-        }
+        AnalyzeScratch(StreamAnalyzer::new(AnalyzerConfig::default()))
     }
 }
 
@@ -226,66 +168,12 @@ pub fn analyze_flow_with(
     cfg: AnalyzerConfig,
     scratch: &mut AnalyzeScratch,
 ) -> FlowAnalysis {
-    scratch.replay.reset(cfg.replay);
-    scratch.candidates.clear();
-    let replay = &mut scratch.replay;
-    let candidates = &mut scratch.candidates;
-    let mut prev_t = None;
-    let mut first_t = None;
-    let mut last_t = None;
-    let mut wire_bytes_out = 0u64;
-    let mut data_pkts_out = 0u64;
-    let mut time_regressions = 0u64;
-    for (idx, rec) in trace.records.iter().enumerate() {
-        if let Some(pt) = prev_t {
-            // A timestamp running backwards means the capture is not
-            // time-ordered; replaying it would corrupt the reconstructed
-            // state and the gap math. Skip and count (mirrors
-            // `StreamAnalyzer::push`).
-            if rec.t < pt {
-                time_regressions += 1;
-                continue;
-            }
-            if replay.established {
-                let gap = rec.t.saturating_since(pt);
-                if gap > replay.stall_threshold() {
-                    candidates.push(classify::Candidate {
-                        start: pt,
-                        end: rec.t,
-                        end_record: idx,
-                        snapshot: replay.snapshot(),
-                    });
-                }
-            }
-        }
-        replay.process(idx, rec);
-        if rec.dir == tcp_trace::record::Direction::Out && rec.has_data() {
-            wire_bytes_out += rec.len as u64;
-            data_pkts_out += 1;
-        }
-        first_t.get_or_insert(rec.t);
-        last_t = Some(rec.t);
-        prev_t = Some(rec.t);
+    let analyzer = &mut scratch.0;
+    analyzer.reset_for(cfg);
+    for rec in &trace.records {
+        analyzer.record(rec);
     }
-    replay.finish();
-
-    let stalls: Vec<Stall> = candidates
-        .iter()
-        .map(|c| classify::classify(c, &trace.records[c.end_record], replay, &cfg.classify))
-        .collect();
-
-    let duration = match (first_t, last_t) {
-        (Some(a), Some(b)) => b.saturating_since(a),
-        _ => SimDuration::ZERO,
-    };
-    FlowAnalysis::finalize(
-        stalls,
-        duration,
-        wire_bytes_out,
-        data_pkts_out,
-        time_regressions,
-        replay,
-    )
+    analyzer.finish_reset()
 }
 
 #[cfg(test)]

@@ -1,24 +1,28 @@
-//! Online (streaming) stall analysis.
+//! Stall analysis, one record at a time: the one gap detector.
 //!
 //! The paper's TAPO ran integrated into Qihoo 360's TCP analysis platform
 //! for daily maintenance. [`StreamAnalyzer`] supports that deployment
 //! style: records are pushed one at a time as they are captured, stalls are
 //! surfaced the moment the packet ending them arrives (with a
-//! *provisional* cause based on the flow so far), and [`StreamAnalyzer::finish`]
-//! produces the exact same [`FlowAnalysis`] as the offline
-//! [`crate::analyze_flow`] — final causes can differ from provisional ones
-//! only where later evidence (a DSACK proving a retransmission spurious, a
+//! *provisional* cause based on the flow so far), and
+//! [`StreamAnalyzer::finish`] classifies every stall again over the
+//! completed replay. Final causes can differ from provisional ones only
+//! where later evidence (a DSACK proving a retransmission spurious, a
 //! later request delimiting a response tail) changes the verdict.
 //!
-//! Memory: the analyzer keeps per-segment history (as the offline pass
-//! does) plus only the stall-ending records — not the whole trace.
+//! The offline [`crate::analyze_flow`] and the simulators (through
+//! [`RecordSink`]) feed the same analyzer without asking for provisional
+//! causes, so every path detects stalls with the same loop.
+//!
+//! Memory: the analyzer keeps per-segment history plus only the
+//! stall-ending records — not the whole trace.
 
 use simnet::time::{SimDuration, SimTime};
 use tcp_trace::record::{Direction, RecordSink, TraceRecord};
 
 use crate::classify::{self, Candidate, Stall};
 use crate::replay::Replay;
-use crate::{AnalyzerConfig, FlowAnalysis};
+use crate::{AnalyzerConfig, FlowAnalysis, FlowMetrics};
 
 /// Incremental TAPO: push records, get stalls as they end, finish for the
 /// full analysis.
@@ -28,8 +32,8 @@ pub struct StreamAnalyzer {
     replay: Replay,
     prev_t: Option<SimTime>,
     idx: usize,
-    /// Stall candidates with their (owned) ending records.
-    pending: Vec<(Candidate, TraceRecord)>,
+    /// Stall candidates, each with its (owned) ending record.
+    pending: Vec<Candidate>,
     first_t: Option<SimTime>,
     last_t: Option<SimTime>,
     wire_bytes_out: u64,
@@ -64,28 +68,34 @@ impl StreamAnalyzer {
     /// stall candidate) and is instead counted in
     /// [`FlowAnalysis::time_regressions`].
     pub fn push(&mut self, rec: &TraceRecord) -> Option<Stall> {
-        let mut emitted = None;
+        self.step(rec, true)
+    }
+
+    /// The one per-record step: gap detection, then replay. With
+    /// `provisional`, a stall this record ends is classified against the
+    /// flow so far, before the record is replayed, and returned;
+    /// [`StreamAnalyzer::finish_reset`] classifies every stall again with
+    /// complete knowledge either way.
+    fn step(&mut self, rec: &TraceRecord, provisional: bool) -> Option<Stall> {
+        let mut stall = None;
         if let Some(pt) = self.prev_t {
             if rec.t < pt {
                 self.time_regressions += 1;
                 self.idx += 1;
                 return None;
             }
-            if self.replay.established {
-                let gap = rec.t.saturating_since(pt);
-                if gap > self.replay.stall_threshold() {
-                    let cand = Candidate {
-                        start: pt,
-                        end: rec.t,
-                        end_record: self.idx,
-                        snapshot: self.replay.snapshot(),
-                    };
-                    // Provisional classification against the flow so far.
-                    // (`finish` re-classifies with complete knowledge.)
-                    let stall = classify::classify(&cand, rec, &self.replay, &self.cfg.classify);
-                    self.pending.push((cand, *rec));
-                    emitted = Some(stall);
+            if self.replay.established && rec.t.saturating_since(pt) > self.replay.stall_threshold()
+            {
+                let cand = Candidate {
+                    start: pt,
+                    end_record: self.idx,
+                    snapshot: self.replay.snapshot(),
+                    rec: *rec,
+                };
+                if provisional {
+                    stall = Some(classify::classify(&cand, &self.replay, &self.cfg.classify));
                 }
+                self.pending.push(cand);
             }
         }
         self.replay.process(self.idx, rec);
@@ -97,7 +107,7 @@ impl StreamAnalyzer {
         self.last_t = Some(rec.t);
         self.prev_t = Some(rec.t);
         self.idx += 1;
-        emitted
+        stall
     }
 
     /// Rewind the analyzer to a fresh state for the next flow under `cfg`,
@@ -138,36 +148,64 @@ impl StreamAnalyzer {
     /// and leave the analyzer reset (storage retained) for the next flow —
     /// the recycling entry point workers use between flows.
     pub fn finish_reset(&mut self) -> FlowAnalysis {
-        self.replay.finish();
+        let replay = &mut self.replay;
+        replay.finish();
         let stalls: Vec<Stall> = self
             .pending
             .iter()
-            .map(|(cand, rec)| classify::classify(cand, rec, &self.replay, &self.cfg.classify))
+            .map(|cand| classify::classify(cand, replay, &self.cfg.classify))
             .collect();
         let duration = match (self.first_t, self.last_t) {
             (Some(a), Some(b)) => b.saturating_since(a),
             _ => SimDuration::ZERO,
         };
-        let analysis = FlowAnalysis::finalize(
-            stalls,
+        let goodput = replay.snd_nxt();
+        let mean = |v: &[SimDuration]| {
+            (!v.is_empty()).then(|| {
+                SimDuration::from_micros(
+                    v.iter().map(|d| d.as_micros()).sum::<u64>() / v.len() as u64,
+                )
+            })
+        };
+        let metrics = FlowMetrics {
             duration,
-            self.wire_bytes_out,
-            self.data_pkts_out,
-            self.time_regressions,
-            &mut self.replay,
-        );
+            stalled_time: stalls
+                .iter()
+                .fold(SimDuration::ZERO, |acc, s| acc + s.duration),
+            goodput_bytes: goodput,
+            wire_bytes_out: self.wire_bytes_out,
+            data_pkts_out: self.data_pkts_out,
+            retrans_pkts: replay.retrans_events.len() as u64,
+            mean_rtt: mean(&replay.rtt_samples),
+            mean_rto: mean(&replay.rto_samples),
+            avg_speed_bps: if duration.is_zero() {
+                0.0
+            } else {
+                goodput as f64 / duration.as_secs_f64()
+            },
+        };
+        let analysis = FlowAnalysis {
+            stalls,
+            metrics,
+            rtt_samples: std::mem::take(&mut replay.rtt_samples),
+            rto_samples: std::mem::take(&mut replay.rto_samples),
+            in_flight_on_ack: std::mem::take(&mut replay.in_flight_on_ack),
+            init_rwnd: replay.init_rwnd,
+            zero_rwnd_seen: replay.zero_rwnd_seen,
+            time_regressions: self.time_regressions,
+        };
         self.reset_for(self.cfg);
         analysis
     }
 }
 
 /// Lets a flow simulator stream records straight into the analyzer,
-/// skipping trace materialization entirely. Provisional stalls surfaced
-/// mid-flow are dropped; call [`StreamAnalyzer::finish`] for the
+/// skipping trace materialization entirely. Stalls are only detected
+/// here, not classified; call [`StreamAnalyzer::finish`] for the
 /// offline-equivalent analysis.
 impl RecordSink for StreamAnalyzer {
     fn record(&mut self, rec: &TraceRecord) {
-        let _ = self.push(rec);
+        self.step(rec, false);
     }
 }
 

@@ -20,7 +20,7 @@ use simnet::time::SimTime;
 use tcp_trace::oracle::{CauseEvent, CauseKind, RtoContext};
 
 use crate::causes::{RetransClass, StallClass};
-use crate::classify::Stall;
+use crate::classify::{decide, ClassifyConfig, Evidence, Stall};
 use crate::StallCause;
 
 /// A dense 7×7 confusion matrix over one of the paper's taxonomies.
@@ -167,7 +167,12 @@ pub fn expected_cause(
     if zero_window {
         (StallClass::ZeroWindow, None)
     } else if let Some(ctx) = rto_ctx {
-        (StallClass::Retransmission, Some(retrans_truth(&ctx)))
+        let cause = decide(&truth_evidence(&ctx), &ClassifyConfig::default());
+        let sub = match cause {
+            StallCause::Retransmission(rc) => Some(rc.class()),
+            _ => None,
+        };
+        (cause.class(), sub)
     } else if client_idle {
         (StallClass::ClientIdle, None)
     } else if data_unavailable {
@@ -185,33 +190,23 @@ pub fn expected_cause(
     }
 }
 
-/// The ground-truth Table-5 subclass for a timer firing, from the sender
-/// state captured the instant before the timer fired.
-///
-/// The rules parallel TAPO's (Table 5) but read the *actual* state instead
-/// of the reconstructed one: a head already retransmitted means the repair
-/// itself was lost or late (double retransmission); a head the link never
-/// dropped means the timeout was spurious — the data arrived and only the
-/// feedback was delayed or lost (ACK delay/loss); a dropped head with no
-/// data sent beyond it is a tail loss; a dropped head with a small flight
-/// is small-cwnd or small-rwnd depending on which window bound the flight;
-/// anything else — a dropped head inside a full window that still timed
-/// out — is continuous loss.
-pub fn retrans_truth(ctx: &RtoContext) -> RetransClass {
-    if ctx.head_retransmitted {
-        RetransClass::DoubleRetrans
-    } else if !ctx.head_dropped {
-        RetransClass::AckDelayLoss
-    } else if ctx.head_is_tail {
-        RetransClass::TailRetrans
-    } else if ctx.packets_out < 4 {
-        if ctx.rwnd_limited {
-            RetransClass::SmallRwnd
-        } else {
-            RetransClass::SmallCwnd
-        }
-    } else {
-        RetransClass::ContinuousLoss
+/// The decision-tree evidence of a timer firing, read from the *actual*
+/// sender state captured the instant before the timer fired instead of a
+/// reconstruction: the packet ending the gap is a timeout retransmission
+/// of the scoreboard head, its data was delivered unless the link dropped
+/// it, and the flight is everything outstanding. `feedback` stays false:
+/// the oracle calls any dropped head in a window of ≥ 4 continuous loss.
+pub fn truth_evidence(ctx: &RtoContext) -> Evidence {
+    Evidence {
+        data: true,
+        nth: 1 + ctx.head_retransmitted as u32,
+        first_was_fast: ctx.first_retrans_fast,
+        delivered: !ctx.head_dropped,
+        tail: ctx.head_is_tail,
+        flight: ctx.packets_out,
+        window: ctx.packets_out,
+        rwnd_limited: ctx.rwnd_limited,
+        ..Evidence::default()
     }
 }
 
@@ -298,38 +293,42 @@ mod tests {
 
     #[test]
     fn retrans_truth_follows_table5_rules() {
+        let truth = |c: RtoContext| match decide(&truth_evidence(&c), &ClassifyConfig::default()) {
+            StallCause::Retransmission(rc) => rc.class(),
+            other => panic!("a timer firing decided {other:?}"),
+        };
         let c = ctx();
-        assert_eq!(retrans_truth(&c), RetransClass::ContinuousLoss);
+        assert_eq!(truth(c), RetransClass::ContinuousLoss);
         assert_eq!(
-            retrans_truth(&RtoContext {
+            truth(RtoContext {
                 head_retransmitted: true,
                 ..c
             }),
             RetransClass::DoubleRetrans
         );
         assert_eq!(
-            retrans_truth(&RtoContext {
+            truth(RtoContext {
                 head_dropped: false,
                 ..c
             }),
             RetransClass::AckDelayLoss
         );
         assert_eq!(
-            retrans_truth(&RtoContext {
+            truth(RtoContext {
                 head_is_tail: true,
                 ..c
             }),
             RetransClass::TailRetrans
         );
         assert_eq!(
-            retrans_truth(&RtoContext {
+            truth(RtoContext {
                 packets_out: 2,
                 ..c
             }),
             RetransClass::SmallCwnd
         );
         assert_eq!(
-            retrans_truth(&RtoContext {
+            truth(RtoContext {
                 packets_out: 2,
                 rwnd_limited: true,
                 ..c

@@ -8,7 +8,7 @@
 //! [`read_reports`] is the one framer every report stream goes through
 //! (`tapo advise` reaches it via `report::parse::parse_reports`). It reads
 //! whole lines with `read_until` into one reusable byte arena, about
-//! [`BATCH_BYTES`] at a time (a longer line is a batch of its own), splits
+//! `BATCH_BYTES` (1 MiB) at a time (a longer line is a batch of its own), splits
 //! them as `BufRead::lines` does (at `\n`, then one `\r` off the end),
 //! checks the batch is UTF-8 in one pass, decodes its lines with
 //! [`par_map`](simnet::par::par_map) and folds the results in line order

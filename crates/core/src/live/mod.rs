@@ -52,7 +52,7 @@
 //!   cell-local, so shed victims and quota denials are identical however
 //!   cells are spread over shards;
 //! * the global `max_flows` / heavy caps are split into fixed per-cell
-//!   quotas that sum exactly to the cap ([`shard`] module docs);
+//!   quotas that sum exactly to the cap (the `shard` module docs);
 //! * each flow's analysis depends only on its own records (an analyzer
 //!   lives and dies with its heavy flow, so nothing carries over between
 //!   flows);

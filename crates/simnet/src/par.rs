@@ -60,7 +60,7 @@ const CHUNK: usize = 16;
 /// that contract, which indices share a scratch (the thread schedule) can
 /// change timing but never results, and results always land in index order.
 ///
-/// Work is claimed in chunks of [`CHUNK`] consecutive indices from the
+/// Work is claimed in chunks of `CHUNK` (16) consecutive indices from the
 /// shared counter, cutting per-item atomic traffic by the chunk width; one
 /// result vector per chunk means one uncontended lock per chunk instead of
 /// one per item. With `threads <= 1` (or `n <= 1`) the whole range runs

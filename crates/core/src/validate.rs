@@ -142,7 +142,7 @@ pub fn expected_cause(
     end: SimTime,
 ) -> (StallClass, Option<RetransClass>) {
     let mut zero_window = false;
-    let mut rto_ctx: Option<RtoContext> = None;
+    let mut rto: Option<(SimTime, RtoContext)> = None;
     let mut client_idle = false;
     let mut data_unavailable = false;
     let mut resource_constraint = false;
@@ -153,8 +153,12 @@ pub fn expected_cause(
         match ev.kind {
             CauseKind::ZeroWindow | CauseKind::WindowProbe => zero_window = true,
             CauseKind::RtoFired(ctx) => {
-                // Keep the first firing in the window: it ended the gap.
-                rto_ctx.get_or_insert(ctx);
+                // Keep the latest firing in the window: it ended the gap. A
+                // firing at `start` began the gap, and its context, taken
+                // before that tick, predates the retransmission it sent.
+                if rto.is_none_or(|(at, _)| ev.start >= at) {
+                    rto = Some((ev.start, ctx));
+                }
             }
             CauseKind::ClientIdle => client_idle = true,
             CauseKind::DataUnavailable => data_unavailable = true,
@@ -166,7 +170,7 @@ pub fn expected_cause(
     }
     if zero_window {
         (StallClass::ZeroWindow, None)
-    } else if let Some(ctx) = rto_ctx {
+    } else if let Some((_, ctx)) = rto {
         let cause = decide(&truth_evidence(&ctx), &ClassifyConfig::default());
         let sub = match cause {
             StallCause::Retransmission(rc) => Some(rc.class()),
@@ -289,6 +293,31 @@ mod tests {
             expected_cause(&evs, t(200), t(800)).0,
             StallClass::PacketDelay
         );
+    }
+
+    #[test]
+    fn the_firing_that_ends_the_gap_is_the_truth() {
+        // A gap between two timeout retransmissions of the same head: the
+        // firing at `start` sent the first and still saw the head never
+        // retransmitted; the firing at `end` sent the second. The stall is
+        // a double retransmission.
+        let evs = vec![
+            CauseEvent::at(t(200), CauseKind::RtoFired(ctx())),
+            CauseEvent::at(
+                t(800),
+                CauseKind::RtoFired(RtoContext {
+                    head_retransmitted: true,
+                    ..ctx()
+                }),
+            ),
+        ];
+        let want = (
+            StallClass::Retransmission,
+            Some(RetransClass::DoubleRetrans),
+        );
+        assert_eq!(expected_cause(&evs, t(200), t(800)), want);
+        let reversed: Vec<_> = evs.iter().rev().copied().collect();
+        assert_eq!(expected_cause(&reversed, t(200), t(800)), want);
     }
 
     #[test]

@@ -344,7 +344,7 @@ pub mod floors {
     /// Minimum overall stall-class accuracy (observed 0.934 quick).
     pub const STALL_ACCURACY: f64 = 0.80;
     /// Minimum retransmission-subclass accuracy among stalls both sides
-    /// call retransmission (observed 0.695 quick).
+    /// call retransmission (observed 0.744 quick).
     pub const RETRANS_ACCURACY: f64 = 0.55;
     /// Minimum recall of retransmission stalls (observed 0.943 quick).
     pub const RETRANS_RECALL: f64 = 0.80;
@@ -359,22 +359,24 @@ pub mod floors {
     pub const MIN_STALLS: u64 = 100;
 
     // Per-subclass recall floors (Table 5), one for each subclass with at
-    // least 5 truth stalls at quick scale, each at the observed value
-    // minus 0.05. Small rwnd (3 truth stalls) has none.
+    // least 5 truth stalls at quick scale, each set at the value observed
+    // then minus 0.05. Keeping the latest timer firing as the truth later
+    // raised small-cwnd, continuous-loss and ACK-delay recall; the floors
+    // stayed. Small rwnd (3 truth stalls) has none.
 
     /// Minimum recall of double-retransmission stalls (observed 1.000
-    /// quick, 17 truth stalls).
+    /// quick, 21 truth stalls).
     pub const DOUBLE_RETRANS_RECALL: f64 = 0.95;
-    /// Minimum recall of tail-retransmission stalls (observed 0.100 quick,
-    /// 10 truth stalls): a collapse guard on the weakest cell.
+    /// Minimum recall of tail-retransmission stalls (observed 0.111 quick,
+    /// 9 truth stalls): a collapse guard on the weakest cell.
     pub const TAIL_RETRANS_RECALL: f64 = 0.05;
-    /// Minimum recall of small-cwnd stalls (observed 0.786 quick, 14 truth
+    /// Minimum recall of small-cwnd stalls (observed 0.846 quick, 13 truth
     /// stalls).
     pub const SMALL_CWND_RECALL: f64 = 0.736;
-    /// Minimum recall of continuous-loss stalls (observed 0.613 quick, 31
+    /// Minimum recall of continuous-loss stalls (observed 0.633 quick, 30
     /// truth stalls).
     pub const CONTINUOUS_LOSS_RECALL: f64 = 0.563;
-    /// Minimum recall of ACK-delay/loss stalls (observed 0.857 quick, 7
+    /// Minimum recall of ACK-delay/loss stalls (observed 1.000 quick, 6
     /// truth stalls).
     pub const ACK_DELAY_LOSS_RECALL: f64 = 0.807;
 

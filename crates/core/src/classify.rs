@@ -87,8 +87,8 @@ pub(crate) struct Candidate {
 }
 
 /// Every input of the decision tree, for one stall-ending packet. The
-/// first five fields walk Fig. 5; the rest are read only when the packet
-/// is a retransmission (`nth ≥ 1`) and walk Table 5.
+/// fields up to `head` walk Fig. 5, `nth ≥ 1` takes its retransmission
+/// branch, and the fields after `nth` walk Table 5 (read only then).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Evidence {
     /// The packet came from the client.

@@ -1,10 +1,12 @@
-//! Exact allocation counts of report rendering and parsing, held to
+//! Exact allocation counts of report rendering and parsing, and the exact
+//! heap cost of the live engine and the offline analyzer, held to
 //! committed values.
 //!
 //! Wall time on a shared machine swings by tens of percent between runs;
 //! the number of heap allocations a single-threaded render makes over a
-//! fixed input does not move at all. This test counts them with a counting
-//! global allocator and compares them with `tests/golden/costs.txt`:
+//! fixed input, or the most bytes it holds at once, does not move at all.
+//! This test counts both with a counting global allocator and compares
+//! them with `tests/golden/costs.txt`:
 //!
 //! * `sink.interval_line`: the most allocations any interval line costs
 //!   through `JsonLinesSink::emit` once the sink has written its first
@@ -16,10 +18,16 @@
 //!   alert or summary) costs through a sink past its first record;
 //! * `parse.interval_line`: the most any interval line costs through
 //!   `parse_interval_line`, the decode `tapo fleet` and `tapo advise` read
-//!   report streams with (the record it returns included).
+//!   report streams with (the record it returns included);
+//! * `live.heavy.peak_kib`: the peak live heap, in KiB above the heap
+//!   before the run, of the inline (one-shard) engine with every flow
+//!   heavy over the whole capture, reports discarded as they come;
+//! * `analyze.allocs_per_flow`: the allocations `analyze_flow_with` makes
+//!   per flow of the capture with a recycled `AnalyzeScratch` that has
+//!   analyzed every flow once already (the mean, rounded to nearest).
 //!
 //! The file is a ratchet. A count above its committed value fails: the
-//! change made rendering allocate more. A count below it fails too, until
+//! change made rendering, the engine or the analyzer cost more. A count below it fails too, until
 //! the file is updated in the same diff, so a gain is recorded and kept.
 //! On a mismatch the measured file is written under
 //! `CARGO_TARGET_TMPDIR/golden/costs.txt`, ready to copy over the committed
@@ -31,33 +39,55 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use simnet::time::SimDuration;
 use tapo::live::{self, DaemonId, IntervalReport, LiveConfig};
 use tapo::report::parse::parse_interval_line;
 use tapo::sink::{JsonLinesSink, Record, ReportSink};
-use tapo::{aggregate, FleetConfig};
+use tapo::{aggregate, analyze_flow_with, AnalyzeScratch, AnalyzerConfig, FleetConfig};
+use tcp_trace::pcap::PcapReader;
 use workloads::livegen::{generate_interleaved, LiveGenSpec};
 
 /// Allocation and reallocation calls through the global allocator.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated through the global allocator.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The most [`LIVE_BYTES`] has reached since [`peak_bytes`] last reset it.
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
+
+/// Account `size` newly allocated bytes.
+fn grow(size: usize) {
+    let now = LIVE_BYTES.fetch_add(size, Ordering::Relaxed) + size;
+    PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
     }
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
         System.dealloc(p, layout);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(p, layout, new_size)
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            // Both blocks are live while the bytes move.
+            grow(new_size);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        q
     }
 }
 
@@ -69,6 +99,15 @@ fn allocs(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// The most bytes live at once while `f` runs, above the heap when it
+/// started.
+fn peak_bytes(f: impl FnOnce()) -> usize {
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    f();
+    PEAK_BYTES.load(Ordering::Relaxed) - base
 }
 
 /// The most allocations any one record costs through `sink`, after a first
@@ -84,17 +123,22 @@ fn worst_after_first<'a>(records: impl IntoIterator<Item = &'a dyn Record>) -> u
         .expect("more than one record")
 }
 
-/// `tapo live`'s interval reports over a seeded three-service capture,
-/// from daemon `id`.
-fn interval_reports(capture: &[u8], id: &str) -> Vec<IntervalReport> {
-    let cfg = LiveConfig {
+/// The inline engine's configuration for daemon `id`: one shard, every
+/// flow heavy.
+fn live_config(id: &str) -> LiveConfig {
+    LiveConfig {
         shards: 1,
         interval: SimDuration::from_millis(250),
         daemon_id: DaemonId::new(id).unwrap(),
         ..LiveConfig::default()
-    };
+    }
+}
+
+/// `tapo live`'s interval reports over a seeded three-service capture,
+/// from daemon `id`.
+fn interval_reports(capture: &[u8], id: &str) -> Vec<IntervalReport> {
     let mut reports = Vec::new();
-    live::run(capture, &cfg, |r| reports.push(r.clone())).unwrap();
+    live::run(capture, &live_config(id), |r| reports.push(r.clone())).unwrap();
     reports
 }
 
@@ -154,6 +198,24 @@ fn rendering_allocates_no_more_than_committed() {
         worst_after_first(fleet_records.chain(alerts).chain([summary])),
     ));
 
+    let cfg = live_config("fe0");
+    assert!(cfg.tier.is_none(), "every flow heavy");
+    let peak = peak_bytes(|| {
+        live::run(&capture[..], &cfg, |_| {}).unwrap();
+    });
+    costs.push(("live.heavy.peak_kib", (peak / 1024) as u64));
+
+    let flows = PcapReader::read_all(&capture[..]).unwrap();
+    let (analyzer, mut scratch) = (AnalyzerConfig::default(), AnalyzeScratch::new());
+    let mut pass = || {
+        for trace in &flows {
+            drop(analyze_flow_with(trace, analyzer, &mut scratch));
+        }
+    };
+    pass();
+    let n = flows.len() as u64;
+    costs.push(("analyze.allocs_per_flow", (allocs(pass) + n / 2) / n));
+
     let measured: String = costs
         .iter()
         .map(|(name, n)| format!("{name} {n}\n"))
@@ -172,11 +234,11 @@ fn rendering_allocates_no_more_than_committed() {
     for (name, n) in &costs {
         match committed.iter().find(|(k, _)| k == name) {
             None => problems.push(format!("{name}: {n}, not in costs.txt")),
-            Some((_, want)) if n > want => problems.push(format!(
-                "{name}: {n} allocations, above the committed {want}"
-            )),
+            Some((_, want)) if n > want => {
+                problems.push(format!("{name}: {n}, above the committed {want}"))
+            }
             Some((_, want)) if n < want => problems.push(format!(
-                "{name}: {n} allocations, below the committed {want}: record the gain"
+                "{name}: {n}, below the committed {want}: record the gain"
             )),
             Some(_) => {}
         }
@@ -195,5 +257,6 @@ fn rendering_allocates_no_more_than_committed() {
 
 /// The comment block at the top of `costs.txt`.
 const HEADER: &str = "# Allocations per rendered or parsed record, the worst over a seeded\n\
-                      # capture's records; checked by crates/core/tests/costs.rs, which\n\
-                      # documents each.\n";
+                      # capture's records; the inline engine's peak heap and the offline\n\
+                      # analyzer's allocations per flow over the same capture. Checked by\n\
+                      # crates/core/tests/costs.rs, which documents each.\n";

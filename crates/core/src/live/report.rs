@@ -135,7 +135,7 @@ pub struct IntervalReport {
     pub promotions: u64,
     /// Heavy→light hysteresis demotions this interval.
     pub demotions: u64,
-    /// Provisional stalls surfaced live by `StreamAnalyzer::push`.
+    /// Stalls detected live, as their ending packets arrived.
     pub live_stalls: u64,
     /// Stall breakdown over the flows finalized in this interval.
     pub breakdown: StallBreakdown,
@@ -252,7 +252,7 @@ pub struct LiveSummary {
     pub records_truncated: u64,
     /// Interval reports emitted.
     pub intervals: u64,
-    /// Provisional stalls surfaced live.
+    /// Stalls detected live.
     pub live_stalls: u64,
     /// Sum of per-cell concurrent high-water marks — a deterministic,
     /// shard-invariant upper bound on peak concurrency. With `max_flows`

@@ -57,7 +57,7 @@ pub use fleet::{
 pub use live::{
     FlowMonitor, IntervalReport, LiveConfig, LiveConfigError, LiveSummary, MonitorSeed, TierConfig,
 };
-pub use replay::{EstCaState, Replay, ReplayConfig, RetransKind, Snapshot};
+pub use replay::{EstCaState, FlightHistogram, Replay, ReplayConfig, RetransKind, Snapshot};
 pub use report::{CauseStats, Cdf, Share, StallBreakdown};
 pub use sink::{csv_escape, csv_fields, CsvSink, JsonLinesSink, Record, ReportSink};
 pub use stream::StreamAnalyzer;
@@ -107,12 +107,17 @@ pub struct FlowAnalysis {
     pub stalls: Vec<Stall>,
     /// Flow-level metrics.
     pub metrics: FlowMetrics,
-    /// Raw RTT samples (never-retransmitted segments).
-    pub rtt_samples: Vec<SimDuration>,
-    /// RTO estimates recorded at each timeout retransmission.
+    /// The flow's RTT samples in µs (never-retransmitted segments only),
+    /// as a sketch: merging it into another adds the same counts as
+    /// inserting each sample. Their exact mean is
+    /// [`FlowMetrics::mean_rtt`]; to list the samples in order, replay
+    /// the trace through a [`Replay`], whose `process` returns each one.
+    pub rtt_sketch: QSketch,
+    /// RTO estimates recorded at each timeout retransmission, in order.
     pub rto_samples: Vec<SimDuration>,
-    /// `in_flight` recorded on each inbound ACK (Fig. 11).
-    pub in_flight_on_ack: Vec<u32>,
+    /// How many inbound ACKs saw each `in_flight` value (Fig. 11): the
+    /// multiset of the per-ACK values, exactly.
+    pub in_flight_on_ack: FlightHistogram,
     /// Initial receive window from the client's SYN.
     pub init_rwnd: Option<u64>,
     /// Whether any inbound ACK advertised a zero window.

@@ -212,7 +212,7 @@ mod tests {
     use crate::causes::{RetransCause, StallCause};
     use crate::classify::Stall;
     use crate::replay::{EstCaState, Snapshot};
-    use crate::{FlowAnalysis, FlowMetrics};
+    use crate::{FlightHistogram, FlowAnalysis, FlowMetrics, QSketch};
     use simnet::time::SimTime;
 
     fn stall(cause: StallCause, ms: u64) -> Stall {
@@ -241,9 +241,9 @@ mod tests {
         FlowAnalysis {
             stalls,
             metrics: FlowMetrics::default(),
-            rtt_samples: vec![],
+            rtt_sketch: QSketch::new(),
             rto_samples: vec![],
-            in_flight_on_ack: vec![],
+            in_flight_on_ack: FlightHistogram::default(),
             init_rwnd: None,
             zero_rwnd_seen: false,
             time_regressions: 0,

@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator tracks the live heap while `tapo live` runs
 //! over a capture with two phases: first many long, concurrent heavy flows
-//! (each analyzer grows a per-segment history of a thousand entries), then
+//! (each analyzer grows a transmit log of a thousand entries), then
 //! a long tail of a few short flows at a time. Once the long flows have
 //! finalized, their analyzers' storage must be gone: the heap late in the
 //! run is a small fraction of its early peak. An engine that kept finished
@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use simnet::time::SimTime;
 use tapo::live::{self, LiveConfig};
+use tapo::replay::TxLog;
 use tcp_trace::flow::FlowKey;
 use tcp_trace::pcap::PcapWriter;
 use tcp_trace::record::{Direction, SegFlags, TraceRecord};
@@ -158,10 +159,10 @@ fn heavy_memory_falls_back_once_long_flows_end() {
         .collect();
     assert!(late.len() >= 10, "{} late intervals", late.len());
     let late_max = *late.iter().max().expect("late intervals");
-    // The long flows' histories alone are LONG_FLOWS × LONG_SEGMENTS
+    // The long flows' transmit logs alone are LONG_FLOWS × LONG_SEGMENTS
     // entries; the peak must have held them.
     assert!(
-        peak >= (LONG_FLOWS as u64 * LONG_SEGMENTS) as usize * 16,
+        peak >= (LONG_FLOWS as u64 * LONG_SEGMENTS) as usize * TxLog::ENTRY_BYTES,
         "peak {peak} bytes"
     );
     // What stays is the engine's fixed cost (the reader's segment buffer,

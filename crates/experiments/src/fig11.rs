@@ -16,7 +16,7 @@ pub fn fig11(ds: &Dataset) -> Figure {
             let samples: Vec<f64> = sd
                 .analyses
                 .iter()
-                .flat_map(|a| a.in_flight_on_ack.iter().map(|&x| x as f64))
+                .flat_map(|a| a.in_flight_on_ack.values().map(f64::from))
                 .collect();
             Series {
                 name: sd.service.label().to_string(),

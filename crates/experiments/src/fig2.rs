@@ -8,7 +8,7 @@
 
 use simnet::loss::LossSpec;
 use simnet::time::SimDuration;
-use tapo::{analyze_flow, AnalyzerConfig, FlowAnalysis, StallCause};
+use tapo::{analyze_flow, AnalyzerConfig, FlowAnalysis, Replay, StallCause};
 use tcp_sim::recovery::RecoveryMechanism;
 use tcp_sim::sim::FlowOutcome;
 use tcp_trace::record::Direction;
@@ -74,16 +74,19 @@ pub fn fig2() -> Figure {
         .filter(|r| r.dir == Direction::Out && r.has_data())
         .map(|r| (r.t.as_secs_f64(), r.seq_end() as f64))
         .collect();
-    let rtt_points: Vec<(f64, f64)> = {
-        // Reconstructed per-sample RTT over time (right axis of the paper's
-        // figure); x positions spread over the samples.
-        analysis
-            .rtt_samples
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i as f64, d.as_secs_f64() * 1e3))
-            .collect()
-    };
+    // Reconstructed per-sample RTT over time (right axis of the paper's
+    // figure); x positions spread over the samples. The analysis keeps
+    // only their distribution, so replay the flow again for their order.
+    let mut replay = Replay::new(AnalyzerConfig::default().replay);
+    let rtt_points: Vec<(f64, f64)> = out
+        .trace
+        .records
+        .iter()
+        .enumerate()
+        .filter_map(|(i, rec)| replay.process(i, rec))
+        .enumerate()
+        .map(|(i, d)| (i as f64, d.as_secs_f64() * 1e3))
+        .collect();
     let stall_points: Vec<(f64, f64)> = analysis
         .stalls
         .iter()

@@ -72,7 +72,7 @@ use experiments::{Dataset, Engine, Scale};
 use simnet::time::SimDuration;
 use tapo::json::Json;
 use tapo::live::{self, DaemonId, LiveConfig, TierConfig};
-use tapo::{aggregate, read_report_files, FleetConfig};
+use tapo::{read_report_files, FleetConfig, FleetFold};
 use workloads::{generate_interleaved, LiveGenSpec};
 
 /// One measured configuration: flows/sec over `repeats` dataset builds
@@ -282,9 +282,10 @@ fn fleet_phase(prefix: &Path) -> std::io::Result<()> {
         .map(|d| fleet_stream_path(prefix, d))
         .collect();
     let t = Instant::now();
-    let (records, skipped) =
-        read_report_files(&paths, 0).map_err(|e| std::io::Error::other(e.to_string()))?;
-    let out = aggregate(&records, skipped, &FleetConfig::default());
+    let mut fold = FleetFold::new(&FleetConfig::default());
+    let skipped = read_report_files(&paths, 0, |rec| fold.fold(&rec))
+        .map_err(|e| std::io::Error::other(e.to_string()))?;
+    let out = fold.finish(skipped);
     let secs = t.elapsed().as_secs_f64();
     let doc = Json::obj([
         ("daemons", Json::Int(out.summary.daemons as i64)),

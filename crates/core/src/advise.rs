@@ -30,7 +30,7 @@ use tcp_sim::sim::FlowScratch;
 use workloads::{sample_flow, simulate_flow_into_scratch, Service, ServiceModel};
 
 use crate::json::Out;
-use crate::report::parse::{parse_reports, ParseError};
+use crate::report::parse::{parse_reports_with, ParseError};
 use crate::sink::{csv_escape, Record};
 use crate::stream::StreamAnalyzer;
 use crate::AnalyzerConfig;
@@ -111,15 +111,11 @@ pub(crate) fn attribute_ports(obs: &mut Observations, by_port: &[(u16, crate::li
 /// pcap, fails fast). The schema and skip rule live in
 /// [`crate::report::parse`], shared bytewise with `tapo fleet`.
 pub fn parse_observations<R: BufRead>(input: R) -> Result<Observations, AdviseError> {
-    let (intervals, skipped) = parse_reports(input)?;
-    let mut obs = Observations {
-        intervals: intervals.len() as u64,
-        skipped,
-        ..Observations::default()
-    };
-    for rec in &intervals {
+    let mut obs = Observations::default();
+    obs.skipped = parse_reports_with(input, |rec| {
+        obs.intervals += 1;
         attribute_ports(&mut obs, &rec.by_port);
-    }
+    })?;
     Ok(obs)
 }
 

@@ -16,9 +16,10 @@ use simnet::cli::Args;
 use simnet::time::SimDuration;
 use tapo::json::Json;
 use tapo::live::{self, DaemonId, LiveConfig};
+use tapo::report::parse::ParsedInterval;
 use tapo::sink::{CsvSink, JsonLinesSink, ReportSink};
 use tapo::{
-    analyze_flow, AdviseConfig, AnalyzerConfig, FleetAlert, FleetConfig, FleetInterval,
+    analyze_flow, AdviseConfig, AnalyzerConfig, FleetAlert, FleetConfig, FleetFold, FleetInterval,
     FlowAnalysis, RetransClass, Stall, StallBreakdown, StallCause, StallClass, TierConfig,
 };
 use tcp_trace::flow::FlowTrace;
@@ -385,19 +386,23 @@ fn run_fleet(args: impl Iterator<Item = String>) -> ExitCode {
         cli.fail("'-' (stdin multiplex) cannot be mixed with files");
     }
 
+    // Records fold into their buckets as they are parsed; no stream is
+    // held whole.
+    let mut fold = FleetFold::new(&cfg);
+    let sink = |rec: ParsedInterval| fold.fold(&rec);
     let parsed = if inputs.is_empty() || inputs[0] == "-" {
-        tapo::read_reports("-", std::io::stdin().lock(), cfg.threads)
+        tapo::read_reports_with("-", std::io::stdin().lock(), cfg.threads, sink)
     } else {
-        tapo::read_report_files(&inputs, cfg.threads)
+        tapo::read_report_files(&inputs, cfg.threads, sink)
     };
-    let (records, skipped) = match parsed {
-        Ok(r) => r,
+    let skipped = match parsed {
+        Ok(skipped) => skipped,
         Err(e) => {
             eprintln!("tapo fleet: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let out = tapo::aggregate(&records, skipped, &cfg);
+    let out = fold.finish(skipped);
     let advices = if with_advice {
         tapo::advise(&out.summary.observations(), &advise_cfg)
     } else {

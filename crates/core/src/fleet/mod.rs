@@ -12,12 +12,15 @@
 //!
 //! 1. [`ingest`] — read interval reports from files, FIFOs, or a stdin
 //!    multiplex; parse and validate them (shared schema with `tapo advise`
-//!    via [`crate::report::parse`]).
-//! 2. [`merge`] — align records into fleet-wide time buckets and fold them
-//!    in canonical order (bucket, then daemon id, then record order), so
-//!    the output is byte-identical regardless of arrival interleaving.
-//!    Distributions merge losslessly because the quantile [`sketch`] is a
-//!    bucket-count homomorphism: merge = vector addition.
+//!    via [`crate::report::parse`]) and hand each record on as it is
+//!    parsed.
+//! 2. [`merge`] — fold each record straight into its fleet-wide time
+//!    bucket, so memory follows buckets × daemons, not records. Every fold
+//!    is addition and buckets, daemon ids and ports are presented in
+//!    ascending order, so the output is byte-identical regardless of
+//!    arrival interleaving. Distributions merge losslessly because the
+//!    quantile [`sketch`] is a bucket-count homomorphism: merge = vector
+//!    addition.
 //! 3. [`drift`] — interval-over-interval and daemon-vs-fleet stall-share
 //!    drift detection with a deterministic integer EWMA rule, emitted as
 //!    `fleet_alert` records through the existing report sinks.
@@ -34,6 +37,6 @@ pub mod sketch;
 
 pub use alerts::FleetAlert;
 pub use drift::{DriftConfig, DriftDetector};
-pub use ingest::{read_report_files, read_reports, FleetError};
-pub use merge::{aggregate, FleetConfig, FleetInterval, FleetOutcome, FleetSummary};
+pub use ingest::{read_report_files, read_reports, read_reports_with, FleetError};
+pub use merge::{aggregate, FleetConfig, FleetFold, FleetInterval, FleetOutcome, FleetSummary};
 pub use sketch::QSketch;

@@ -51,8 +51,8 @@ pub use advise::{
 pub use causes::{RetransCause, RetransClass, StallCategory, StallCause, StallClass};
 pub use classify::{ClassifyConfig, Stall};
 pub use fleet::{
-    aggregate, read_report_files, read_reports, DriftConfig, FleetAlert, FleetConfig, FleetError,
-    FleetInterval, FleetOutcome, FleetSummary, QSketch,
+    aggregate, read_report_files, read_reports, read_reports_with, DriftConfig, FleetAlert,
+    FleetConfig, FleetError, FleetFold, FleetInterval, FleetOutcome, FleetSummary, QSketch,
 };
 pub use live::{
     FlowMonitor, IntervalReport, LiveConfig, LiveConfigError, LiveSummary, MonitorSeed, TierConfig,

@@ -144,7 +144,10 @@ fn file_and_stdin_ingestion_produce_identical_bytes() {
         })
         .collect();
 
-    let from_files = read_report_files(&paths, 2).expect("file ingestion succeeds");
+    let mut file_records = Vec::new();
+    let skipped = read_report_files(&paths, 2, |rec| file_records.push(rec))
+        .expect("file ingestion succeeds");
+    let from_files = (file_records, skipped);
     let concat: String = streams.iter().map(|(_, s)| s.as_str()).collect();
     let from_stdin = read_reports("-", concat.as_bytes(), 2).expect("stdin ingestion succeeds");
     for path in &paths {

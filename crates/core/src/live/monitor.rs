@@ -77,13 +77,6 @@ pub enum FlowMonitor {
     Heavy,
 }
 
-impl FlowMonitor {
-    /// True in the heavy (escalated) state.
-    pub fn is_heavy(self) -> bool {
-        matches!(self, FlowMonitor::Heavy)
-    }
-}
-
 /// Light-tier estimates carried into a promoted analyzer so mid-flow
 /// escalation starts from the flow's actual state instead of a cold boot:
 /// the RTT estimate keeps the stall threshold meaningful from the first

@@ -16,9 +16,17 @@ use tapo::live::{self, DaemonId, LiveConfig};
 use tapo::{aggregate, read_report_files, read_reports, FleetConfig, FleetOutcome, Record};
 use workloads::{daemon_specs, generate_interleaved, LiveGenSpec};
 
-/// Run one live daemon over its own capture and return its JSON-lines
-/// report stream (interval records + the trailing summary, like the CLI).
-fn daemon_stream(id: &str, spec: &LiveGenSpec) -> String {
+/// One daemon's JSON-lines report stream (interval records + the
+/// trailing summary, like the CLI), with the stalls its interval records
+/// carry, tallied from the live side.
+struct DaemonStream {
+    id: String,
+    lines: String,
+    stalls: u64,
+}
+
+/// Run one live daemon over its own capture.
+fn daemon_stream(id: &str, spec: &LiveGenSpec) -> DaemonStream {
     let mut capture = Vec::new();
     generate_interleaved(&mut capture, spec).expect("in-memory generation cannot fail");
     let cfg = LiveConfig {
@@ -27,18 +35,24 @@ fn daemon_stream(id: &str, spec: &LiveGenSpec) -> String {
         ..Default::default()
     };
     let mut lines = String::new();
+    let mut stalls = 0;
     let summary = live::run(&capture[..], &cfg, |r| {
+        stalls += r.breakdown.total_stalls;
         lines.push_str(&r.to_json().compact());
         lines.push('\n');
     })
     .expect("live run succeeds");
     lines.push_str(&summary.to_json().compact());
     lines.push('\n');
-    lines
+    DaemonStream {
+        id: id.to_string(),
+        lines,
+        stalls,
+    }
 }
 
 /// Three daemons' report streams, generated once per test binary.
-fn fleet_streams() -> Vec<(String, String)> {
+fn fleet_streams() -> Vec<DaemonStream> {
     let base = LiveGenSpec {
         flows_per_service: 4, // 12 flows per daemon
         seed: 0xf1ee7,
@@ -48,10 +62,7 @@ fn fleet_streams() -> Vec<(String, String)> {
     };
     daemon_specs(&base, 3)
         .into_iter()
-        .map(|(id, spec)| {
-            let stream = daemon_stream(&id, &spec);
-            (id, stream)
-        })
+        .map(|(id, spec)| daemon_stream(&id, &spec))
         .collect()
 }
 
@@ -82,10 +93,10 @@ fn fleet_output_is_arrival_order_and_thread_count_invariant() {
     // Three arrival shapes for the same multiset of lines: daemons in
     // order, daemons reversed, and a line-level round-robin interleave
     // (what a shared FIFO fed by three writers looks like).
-    let in_order: String = streams.iter().map(|(_, s)| s.as_str()).collect();
-    let reversed: String = streams.iter().rev().map(|(_, s)| s.as_str()).collect();
+    let in_order: String = streams.iter().map(|d| d.lines.as_str()).collect();
+    let reversed: String = streams.iter().rev().map(|d| d.lines.as_str()).collect();
     let mut interleaved = String::new();
-    let mut cursors: Vec<std::str::Lines> = streams.iter().map(|(_, s)| s.lines()).collect();
+    let mut cursors: Vec<std::str::Lines> = streams.iter().map(|d| d.lines.lines()).collect();
     loop {
         let mut any = false;
         for lines in &mut cursors {
@@ -100,6 +111,10 @@ fn fleet_output_is_arrival_order_and_thread_count_invariant() {
         }
     }
 
+    assert!(
+        streams.iter().any(|d| d.stalls > 0),
+        "the streams must carry stalls for the stall sum to check anything"
+    );
     let cfg = FleetConfig::default();
     let mut rendered: Vec<(String, String)> = Vec::new();
     for (label, input) in [
@@ -112,6 +127,18 @@ fn fleet_output_is_arrival_order_and_thread_count_invariant() {
                 .unwrap_or_else(|e| panic!("{label}/threads={threads}: {e}"));
             assert_eq!(skipped, 3, "{label}: one summary line per daemon");
             let out = aggregate(&records, skipped, &cfg);
+            // Lossless: every interval line fed is merged exactly once,
+            // and the merged stalls are the stalls the daemons reported.
+            let fed = input
+                .lines()
+                .filter(|l| l.contains("\"kind\":\"interval\""))
+                .count();
+            assert_eq!(out.summary.records, fed as u64, "{label}/threads={threads}");
+            assert_eq!(
+                out.summary.stalls,
+                streams.iter().map(|d| d.stalls).sum::<u64>(),
+                "{label}/threads={threads}"
+            );
             rendered.push((format!("{label}/threads={threads}"), render(&out)));
         }
     }
@@ -125,7 +152,7 @@ fn fleet_output_is_arrival_order_and_thread_count_invariant() {
     }
     // The baseline actually exercises the merge: all three daemons appear
     // in the per-daemon breakdown of the rendered stream.
-    for (id, _) in &streams {
+    for DaemonStream { id, .. } in &streams {
         assert!(baseline.contains(&format!("\"{id}\"")), "missing {id}");
     }
 }
@@ -136,10 +163,10 @@ fn file_and_stdin_ingestion_produce_identical_bytes() {
     let dir = std::env::temp_dir();
     let paths: Vec<std::path::PathBuf> = streams
         .iter()
-        .map(|(id, stream)| {
+        .map(|DaemonStream { id, lines, .. }| {
             let path = dir.join(format!("tapo_fleet_test_{}_{id}.jsonl", std::process::id()));
             let mut f = std::fs::File::create(&path).expect("create temp report file");
-            f.write_all(stream.as_bytes()).expect("write temp report");
+            f.write_all(lines.as_bytes()).expect("write temp report");
             path
         })
         .collect();
@@ -148,7 +175,7 @@ fn file_and_stdin_ingestion_produce_identical_bytes() {
     let skipped = read_report_files(&paths, 2, |rec| file_records.push(rec))
         .expect("file ingestion succeeds");
     let from_files = (file_records, skipped);
-    let concat: String = streams.iter().map(|(_, s)| s.as_str()).collect();
+    let concat: String = streams.iter().map(|d| d.lines.as_str()).collect();
     let from_stdin = read_reports("-", concat.as_bytes(), 2).expect("stdin ingestion succeeds");
     for path in &paths {
         let _ = std::fs::remove_file(path);
@@ -166,7 +193,7 @@ fn file_and_stdin_ingestion_produce_identical_bytes() {
 #[test]
 fn fleet_observations_match_the_direct_advise_path() {
     let streams = fleet_streams();
-    let concat: String = streams.iter().map(|(_, s)| s.as_str()).collect();
+    let concat: String = streams.iter().map(|d| d.lines.as_str()).collect();
 
     let obs_direct = tapo::parse_observations(concat.as_bytes()).expect("advise parse succeeds");
     let (records, skipped) = read_reports("-", concat.as_bytes(), 1).expect("fleet parse succeeds");

@@ -51,77 +51,3 @@ pub use dataset::{Dataset, Scale, ServiceData};
 pub use engine::Engine;
 pub use mechanism::{run_comparison, Comparison, ComparisonScale};
 pub use output::{Figure, Series, Table};
-
-use std::path::Path;
-
-/// Everything the dataset-driven experiments produce, rendered.
-pub fn run_dataset_experiments(ds: &Dataset, out_dir: Option<&Path>) -> Vec<String> {
-    let mut rendered = Vec::new();
-    let mut emit_t = |t: Table| {
-        if let Some(dir) = out_dir {
-            let _ = t.write_csv(dir);
-        }
-        rendered.push(t.render());
-    };
-    emit_t(table1::table1(ds));
-    emit_t(table3::table3(ds));
-    emit_t(table4::table4(ds));
-    emit_t(table5::table5(ds));
-    emit_t(table6::table6(ds));
-    emit_t(table6::table7(ds));
-    let mut emit_f = |f: Figure| {
-        if let Some(dir) = out_dir {
-            let _ = f.write_csv(dir);
-        }
-        rendered.push(f.render());
-    };
-    emit_f(fig1::fig1a(ds));
-    emit_f(fig1::fig1b(ds));
-    emit_f(fig3::fig3(ds));
-    emit_f(fig6::fig6(ds));
-    let (a, b) = fig7::fig7(ds);
-    emit_f(a);
-    emit_f(b);
-    let (a, b) = fig7::fig10(ds);
-    emit_f(a);
-    emit_f(b);
-    emit_f(fig11::fig11(ds));
-    emit_f(fig11::fig12(ds));
-    rendered
-}
-
-/// The mechanism-comparison experiments (Tables 8 & 9), rendered.
-pub fn run_mechanism_experiments(scale: ComparisonScale, out_dir: Option<&Path>) -> Vec<String> {
-    let cmp = run_comparison(scale, &Engine::serial());
-    [
-        mechanism::table8(&cmp),
-        mechanism::table9(&cmp),
-        mechanism::large_flow_throughput(&cmp),
-    ]
-    .into_iter()
-    .map(|t| {
-        if let Some(dir) = out_dir {
-            let _ = t.write_csv(dir);
-        }
-        t.render()
-    })
-    .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_dataset_experiments_render() {
-        let scale = Scale {
-            flows_per_service: 15,
-            seed: 7,
-        };
-        let ds = Dataset::build_streaming(scale, &Engine::serial());
-        let rendered = run_dataset_experiments(&ds, None);
-        assert_eq!(rendered.len(), 16);
-        assert!(rendered[0].contains("table1"));
-        assert!(rendered.iter().all(|r| !r.is_empty()));
-    }
-}

@@ -465,8 +465,7 @@ impl FleetFold {
             slice.flows_finalized += rec.flows_finalized;
             slice.stalls += rec.stalls;
             slice.stalled_us += rec.stalled_us;
-            add_classes(&mut iv.by_cause, &rec.by_cause);
-            add_classes(&mut iv.by_retrans, &rec.by_retrans);
+            rec.classes.add_to(&mut iv.by_cause, &mut iv.by_retrans);
             merge_by_port(&mut iv.by_port, &rec.by_port);
             if let Some(s) = &rec.rtt_sketch {
                 iv.rtt_sketch.merge(s);
@@ -553,6 +552,7 @@ mod tests {
     use super::*;
     use crate::fleet::read_reports;
     use crate::live::{self, DaemonId, LiveConfig};
+    use crate::report::parse::{ClassStats, CLASS_SLOTS};
     use simnet::rng::splitmix64;
     use simnet::time::SimDuration;
     use workloads::{daemon_specs, generate_interleaved, LiveGenSpec};
@@ -575,8 +575,10 @@ mod tests {
             self.slice.flows_finalized += rec.flows_finalized;
             self.slice.stalls += rec.stalls;
             self.slice.stalled_us += rec.stalled_us;
-            add_classes(&mut self.by_cause, &rec.by_cause);
-            add_classes(&mut self.by_retrans, &rec.by_retrans);
+            let cause = StallClass::ALL.map(|c| rec.classes.cause(c));
+            let retrans = RetransClass::ALL.map(|c| rec.classes.retrans(c));
+            add_classes(&mut self.by_cause, &cause);
+            add_classes(&mut self.by_retrans, &retrans);
             merge_by_port(&mut self.by_port, &rec.by_port);
             if let Some(s) = &rec.rtt_sketch {
                 self.rtt.merge(s);
@@ -691,8 +693,27 @@ mod tests {
 
     #[test]
     fn fold_equals_the_per_daemon_accumulator_reference() {
-        let (records, skipped) = daemon_records();
+        let (mut records, skipped) = daemon_records();
         assert_eq!(skipped, 3);
+        // Copies of every fifth record with stalls in one to three classes,
+        // causes and retransmission subclasses alike.
+        let sparse: Vec<ParsedInterval> = records
+            .iter()
+            .step_by(5)
+            .enumerate()
+            .map(|(i, r)| {
+                let mut slots = [(0, 0); CLASS_SLOTS];
+                for k in 0..=i % 3 {
+                    slots[(i + 5 * k) % CLASS_SLOTS] = (k as u64 + 1, 1_000 * i as u64 + 7);
+                }
+                ParsedInterval {
+                    classes: ClassStats::new(&slots),
+                    ..r.clone()
+                }
+            })
+            .collect();
+        assert!(sparse.len() > 10);
+        records.extend(sparse);
         for bucket_us in [1_000_000, 250_000, 3_000_000] {
             let cfg = FleetConfig {
                 bucket_us,
@@ -731,8 +752,8 @@ mod tests {
         if stalled_us > 0 {
             stall_sketch.insert(stalled_us);
         }
-        let mut by_cause = <[(u64, u64); StallClass::ALL.len()]>::default();
-        by_cause[StallClass::Retransmission.index()] = (stalls, stalled_us);
+        let mut slots = [(0, 0); CLASS_SLOTS];
+        slots[StallClass::Retransmission.index()] = (stalls, stalled_us);
         ParsedInterval {
             daemon: daemon.to_string(),
             interval: start_us / 1_000_000,
@@ -742,7 +763,7 @@ mod tests {
             flows_finalized: flows,
             stalls,
             stalled_us,
-            by_cause,
+            classes: ClassStats::new(&slots),
             by_port: vec![(
                 80,
                 PortDelta {
@@ -753,7 +774,6 @@ mod tests {
             )],
             rtt_sketch: Some(QSketch::new()),
             stall_sketch: Some(stall_sketch),
-            ..ParsedInterval::default()
         }
     }
 

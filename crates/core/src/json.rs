@@ -1234,7 +1234,7 @@ mod tests {
         use crate::fleet::sketch::QSketch;
         use crate::fleet::{aggregate, FleetAlert, FleetConfig};
         use crate::live::{self, LiveConfig};
-        use crate::report::parse::{parse_interval_line, ParsedInterval};
+        use crate::report::parse::{parse_interval_line, ClassStats, ParsedInterval, CLASS_SLOTS};
         use crate::sink::Record;
 
         // Awkward strings as values and as run-time keys, integer keys,
@@ -1285,6 +1285,13 @@ mod tests {
         for (report, line) in intervals.iter().zip(&interval_lines) {
             let us = |(n, t): crate::report::CauseStats| (n, t.as_micros());
             let b = &report.breakdown;
+            let mut slots = [(0, 0); CLASS_SLOTS];
+            for c in StallClass::ALL {
+                slots[c.index()] = us(b.cause_stats(c));
+            }
+            for c in RetransClass::ALL {
+                slots[StallClass::ALL.len() + c.index()] = us(b.retrans_stats(c));
+            }
             let want = ParsedInterval {
                 daemon: report.daemon.as_str().to_string(),
                 interval: report.interval,
@@ -1294,8 +1301,7 @@ mod tests {
                 flows_finalized: report.flows_finalized,
                 stalls: b.total_stalls,
                 stalled_us: b.total_stalled.as_micros(),
-                by_cause: StallClass::ALL.map(|c| us(b.cause_stats(c))),
-                by_retrans: RetransClass::ALL.map(|c| us(b.retrans_stats(c))),
+                classes: ClassStats::new(&slots),
                 by_port: report.by_port.clone(),
                 rtt_sketch: report.rtt_sketch.clone(),
                 stall_sketch: report.stall_sketch.clone(),

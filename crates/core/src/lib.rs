@@ -54,9 +54,7 @@ pub use fleet::{
     aggregate, read_report_files, read_reports, read_reports_with, DriftConfig, FleetAlert,
     FleetConfig, FleetError, FleetFold, FleetInterval, FleetOutcome, FleetSummary, QSketch,
 };
-pub use live::{
-    FlowMonitor, IntervalReport, LiveConfig, LiveConfigError, LiveSummary, MonitorSeed, TierConfig,
-};
+pub use live::{IntervalReport, LiveConfig, LiveConfigError, LiveSummary, MonitorSeed, TierConfig};
 pub use replay::{EstCaState, FlightHistogram, Replay, ReplayConfig, RetransKind, Snapshot};
 pub use report::{CauseStats, Cdf, Share, StallBreakdown};
 pub use sink::{csv_escape, csv_fields, CsvSink, JsonLinesSink, Record, ReportSink};

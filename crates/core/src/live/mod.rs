@@ -89,7 +89,7 @@ mod wheel;
 pub use config::{default_shards, DaemonId, LiveConfigError, MAX_BATCH, MAX_CELLS, MAX_DAEMON_ID};
 pub use fnv::{cell_of, FnvHasher};
 pub use lru::LruList;
-pub use monitor::{FlowMonitor, LightTable, MonitorSeed, TierConfig, Verdict};
+pub use monitor::{LightTable, MonitorSeed, TierConfig, Verdict};
 pub use report::{class_slug, retrans_slug, IntervalReport, LiveSummary};
 pub(crate) use report::{write_breakdown, write_by_port};
 pub use shard::{

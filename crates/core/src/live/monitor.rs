@@ -61,22 +61,6 @@ impl Default for TierConfig {
     }
 }
 
-/// Which tier a flow currently occupies — the per-flow monitoring state
-/// machine. Every tracked flow always has a light row; `Heavy` means a
-/// full [`crate::StreamAnalyzer`] is additionally live on a shard.
-///
-/// Transitions (driver-serial, so identical at any shard count):
-/// `Light → Heavy` when a [`LightTable`] heuristic flags suspicion (and the
-/// cell's heavy quota has room), seeding the analyzer with a [`MonitorSeed`];
-/// `Heavy → Light` after [`TierConfig::demote_streak`] event-free packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowMonitor {
-    /// Compact always-on state only; no analyzer allocated.
-    Light,
-    /// Escalated: the flow's own heavy analyzer tracks it on its shard.
-    Heavy,
-}
-
 /// Light-tier estimates carried into a promoted analyzer so mid-flow
 /// escalation starts from the flow's actual state instead of a cold boot:
 /// the RTT estimate keeps the stall threshold meaningful from the first

@@ -73,18 +73,76 @@ pub struct ParsedInterval {
     pub stalls: u64,
     /// Total stalled time, microseconds.
     pub stalled_us: u64,
-    /// Per top-level stall class `(count, microseconds)`, indexed like
-    /// [`StallClass::ALL`].
-    pub by_cause: [(u64, u64); StallClass::ALL.len()],
-    /// Per retransmission subclass `(count, microseconds)`, indexed like
-    /// [`RetransClass::ALL`].
-    pub by_retrans: [(u64, u64); RetransClass::ALL.len()],
+    /// Per stall class and retransmission subclass `(count, microseconds)`,
+    /// only the classes that are not `(0, 0)`.
+    pub classes: ClassStats,
     /// Per-server-port slice, in the record's (ascending) order.
     pub by_port: Vec<(u16, PortDelta)>,
     /// The record's RTT-sample sketch, when the daemon emitted sketches.
     pub rtt_sketch: Option<QSketch>,
     /// The record's stall-duration sketch, same gating.
     pub stall_sketch: Option<QSketch>,
+}
+
+/// Slots of the dense class table a decoder fills, ordered as
+/// [`ClassStats`] orders them.
+pub(crate) const CLASS_SLOTS: usize = StallClass::ALL.len() + RetransClass::ALL.len();
+
+/// A record's per-class `(count, microseconds)` stats, stored sparsely: one
+/// `(slot, n, us)` entry per class that is not `(0, 0)`, ascending by slot
+/// (the stall classes in [`StallClass::ALL`] order, then the
+/// retransmission subclasses in [`RetransClass::ALL`] order). Most
+/// intervals finalize no stalled flow, and a busy one shows a few classes
+/// of fourteen: a record whose classes are all zero holds 16 bytes and no
+/// heap, one with k non-zero classes 24·k bytes more, where two dense
+/// tables would take 224 bytes in every record.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClassStats(Box<[(u8, u64, u64)]>);
+
+impl ClassStats {
+    /// The non-zero slots of a dense table, in one allocation sized
+    /// exactly (none when every slot is zero).
+    pub(crate) fn new(slots: &[(u64, u64); CLASS_SLOTS]) -> Self {
+        let nonzero = |s: &&(u64, u64)| **s != (0, 0);
+        let mut entries = Vec::with_capacity(slots.iter().filter(nonzero).count());
+        for (slot, &(n, us)) in slots.iter().enumerate().filter(|(_, s)| nonzero(s)) {
+            entries.push((slot as u8, n, us));
+        }
+        ClassStats(entries.into_boxed_slice())
+    }
+
+    /// `(count, microseconds)` of a top-level stall class.
+    pub fn cause(&self, class: StallClass) -> (u64, u64) {
+        self.slot(class.index())
+    }
+
+    /// `(count, microseconds)` of a retransmission subclass.
+    pub fn retrans(&self, class: RetransClass) -> (u64, u64) {
+        self.slot(StallClass::ALL.len() + class.index())
+    }
+
+    fn slot(&self, slot: usize) -> (u64, u64) {
+        self.0
+            .binary_search_by_key(&slot, |&(s, _, _)| usize::from(s))
+            .map_or((0, 0), |at| (self.0[at].1, self.0[at].2))
+    }
+
+    /// Add the entries present to dense per-class tables.
+    pub(crate) fn add_to(
+        &self,
+        by_cause: &mut [(u64, u64); StallClass::ALL.len()],
+        by_retrans: &mut [(u64, u64); RetransClass::ALL.len()],
+    ) {
+        for &(slot, n, us) in &*self.0 {
+            let slot = usize::from(slot);
+            let e = match slot.checked_sub(StallClass::ALL.len()) {
+                None => &mut by_cause[slot],
+                Some(sub) => &mut by_retrans[sub],
+            };
+            e.0 += n;
+            e.1 += us;
+        }
+    }
 }
 
 /// A section's verdict as the tree decode would word it. Sections are read
@@ -144,12 +202,17 @@ fn decode_classes(
     Ok(verdict)
 }
 
-fn decode_breakdown(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Section, JsonError> {
+fn decode_breakdown(
+    cur: &mut Cursor<'_>,
+    rec: &mut ParsedInterval,
+    slots: &mut [(u64, u64); CLASS_SLOTS],
+) -> Result<Section, JsonError> {
     if !cur.open_object()? {
         return Ok(Err("breakdown is not an object".into()));
     }
     let (mut stalls, mut stalled_us) = (None, None);
     let (mut by_cause, mut by_retrans) = (None, None);
+    let (causes, retrans) = slots.split_at_mut(StallClass::ALL.len());
     while let Some(key) = cur.key()? {
         match &*key {
             key::STALLS => cur.first(&mut stalls, Cursor::u64_or_skip)?,
@@ -157,7 +220,7 @@ fn decode_breakdown(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Se
             key::BY_CAUSE => cur.first(&mut by_cause, |cur| {
                 let index_of =
                     |slug: &str| StallClass::ALL.iter().position(|c| class_slug(*c) == slug);
-                decode_classes(cur, key::BY_CAUSE, index_of, &mut rec.by_cause)
+                decode_classes(cur, key::BY_CAUSE, index_of, causes)
             })?,
             key::BY_RETRANS => cur.first(&mut by_retrans, |cur| {
                 let index_of = |slug: &str| {
@@ -165,7 +228,7 @@ fn decode_breakdown(cur: &mut Cursor<'_>, rec: &mut ParsedInterval) -> Result<Se
                         .iter()
                         .position(|c| retrans_slug(*c) == slug)
                 };
-                decode_classes(cur, key::BY_RETRANS, index_of, &mut rec.by_retrans)
+                decode_classes(cur, key::BY_RETRANS, index_of, retrans)
             })?,
             _ => cur.skip_value()?,
         }
@@ -347,18 +410,18 @@ impl<'a> Layout<'a> {
         Some(())
     }
 
-    /// `{"slug":{"n":…,"us":…},…}` over `slugs` in order, then `end`.
-    fn classes<const N: usize>(&mut self, slugs: [&str; N], end: u8) -> Option<[(u64, u64); N]> {
+    /// `{"slug":{"n":…,"us":…},…}` over `slugs` in order into `stats`,
+    /// then `end`.
+    fn classes(&mut self, slugs: &[&str], stats: &mut [(u64, u64)], end: u8) -> Option<()> {
         self.text(b"{")?;
-        let mut stats = [(0, 0); N];
-        for (i, slug) in slugs.iter().enumerate() {
+        for (i, (slug, stat)) in slugs.iter().zip(stats).enumerate() {
             self.key(slug)?;
             self.text(b"{")?;
             let [n, us] = self.fields(key::CLASS_STATS, b'}')?;
-            stats[i] = (n, us);
-            self.text(if i + 1 == N { b"}" } else { b"," })?;
+            *stat = (n, us);
+            self.text(if i + 1 == slugs.len() { b"}" } else { b"," })?;
         }
-        self.eat(end).then_some(stats)
+        self.eat(end).then_some(())
     }
 
     /// `by_port`: `{}`, or `"port":{…}` entries with decimal port keys.
@@ -433,10 +496,12 @@ fn read_layout(line: &str) -> Option<ParsedInterval> {
     r.key(key::BREAKDOWN)?;
     r.text(b"{")?;
     let [stalls, stalled_us] = r.fields(key::BREAKDOWN_TOTALS, b',')?;
+    let mut slots = [(0, 0); CLASS_SLOTS];
+    let (causes, retrans) = slots.split_at_mut(StallClass::ALL.len());
     r.key(key::BY_CAUSE)?;
-    let by_cause = r.classes(key::CAUSE_SLUGS, b',')?;
+    r.classes(&key::CAUSE_SLUGS, causes, b',')?;
     r.key(key::BY_RETRANS)?;
-    let by_retrans = r.classes(key::RETRANS_SLUGS, b'}')?;
+    r.classes(&key::RETRANS_SLUGS, retrans, b'}')?;
     r.text(b",")?;
     r.key(key::BY_PORT)?;
     let by_port = r.ports()?;
@@ -461,8 +526,7 @@ fn read_layout(line: &str) -> Option<ParsedInterval> {
         flows_finalized: counters[key::FLOWS_FINALIZED_AT],
         stalls,
         stalled_us,
-        by_cause,
-        by_retrans,
+        classes: ClassStats::new(&slots),
         by_port,
         rtt_sketch,
         stall_sketch,
@@ -479,6 +543,7 @@ fn decode_line(line: &str) -> Result<Result<Option<ParsedInterval>, String>, Jso
         return Ok(Err("not a JSON object".into()));
     }
     let mut rec = ParsedInterval::default();
+    let mut slots = [(0, 0); CLASS_SLOTS];
     let (mut kind, mut daemon) = (None, None);
     let (mut interval, mut start_us, mut end_us) = (None, None, None);
     let (mut packets, mut flows_finalized) = (None, None);
@@ -492,7 +557,9 @@ fn decode_line(line: &str) -> Result<Result<Option<ParsedInterval>, String>, Jso
             key::END_US => cur.first(&mut end_us, Cursor::u64_or_skip)?,
             key::PACKETS => cur.first(&mut packets, Cursor::u64_or_skip)?,
             key::FLOWS_FINALIZED => cur.first(&mut flows_finalized, Cursor::u64_or_skip)?,
-            key::BREAKDOWN => cur.first(&mut breakdown, |cur| decode_breakdown(cur, &mut rec))?,
+            key::BREAKDOWN => cur.first(&mut breakdown, |cur| {
+                decode_breakdown(cur, &mut rec, &mut slots)
+            })?,
             key::BY_PORT => cur.first(&mut by_port, |cur| decode_ports(cur, &mut rec.by_port))?,
             key::SKETCHES => cur.first(&mut sketches, |cur| decode_sketches(cur, &mut rec))?,
             _ => cur.skip_value()?,
@@ -508,6 +575,7 @@ fn decode_line(line: &str) -> Result<Result<Option<ParsedInterval>, String>, Jso
         }
     }
     let num = |v: Option<Option<u64>>| v.flatten().unwrap_or(0);
+    rec.classes = ClassStats::new(&slots);
     rec.daemon = daemon
         .flatten()
         .map_or_else(|| "unknown".to_string(), Cow::into_owned);
@@ -607,6 +675,7 @@ mod tests {
             flows_finalized: num("flows_finalized"),
             ..ParsedInterval::default()
         };
+        let mut slots = [(0, 0); CLASS_SLOTS];
         if let Some(b) = v.get("breakdown") {
             if b.members().is_none() {
                 return Err("breakdown is not an object".into());
@@ -626,7 +695,7 @@ mod tests {
                     // Unknown slugs are skipped, not errors: a newer daemon may
                     // know cause classes this build does not.
                     if let Some(i) = StallClass::ALL.iter().position(|c| class_slug(*c) == slug) {
-                        rec.by_cause[i] = cause_stats(slug, stats)?;
+                        slots[i] = cause_stats(slug, stats)?;
                     }
                 }
             }
@@ -639,11 +708,12 @@ mod tests {
                         .iter()
                         .position(|c| retrans_slug(*c) == slug)
                     {
-                        rec.by_retrans[i] = cause_stats(slug, stats)?;
+                        slots[StallClass::ALL.len() + i] = cause_stats(slug, stats)?;
                     }
                 }
             }
         }
+        rec.classes = ClassStats::new(&slots);
         if let Some(by_port) = v.get("by_port") {
             let ports = by_port
                 .members()
@@ -767,21 +837,29 @@ mod tests {
         let rec = parse_interval_line(line).unwrap().unwrap();
         assert_eq!(rec.stalls, 3);
         assert_eq!(rec.stalled_us, 900);
-        let idle = StallClass::ALL
-            .iter()
-            .position(|c| class_slug(*c) == "client_idle")
-            .unwrap();
-        let retr = StallClass::ALL
-            .iter()
-            .position(|c| class_slug(*c) == "retransmission")
-            .unwrap();
-        assert_eq!(rec.by_cause[idle], (1, 100));
-        assert_eq!(rec.by_cause[retr], (2, 800));
-        let tail = RetransClass::ALL
-            .iter()
-            .position(|c| retrans_slug(*c) == "tail_retrans")
-            .unwrap();
-        assert_eq!(rec.by_retrans[tail], (2, 800));
+        assert_eq!(rec.classes.cause(StallClass::ClientIdle), (1, 100));
+        assert_eq!(rec.classes.cause(StallClass::Retransmission), (2, 800));
+        assert_eq!(rec.classes.cause(StallClass::ZeroWindow), (0, 0));
+        assert_eq!(rec.classes.retrans(RetransClass::TailRetrans), (2, 800));
+        assert_eq!(rec.classes.retrans(RetransClass::Undetermined), (0, 0));
+        let zero = (
+            [(0, 0); StallClass::ALL.len()],
+            [(0, 0); RetransClass::ALL.len()],
+        );
+        let (mut got, mut want) = (zero, zero);
+        rec.classes.add_to(&mut got.0, &mut got.1);
+        want.0[StallClass::ClientIdle.index()] = (1, 100);
+        want.0[StallClass::Retransmission.index()] = (2, 800);
+        want.1[RetransClass::TailRetrans.index()] = (2, 800);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_record_is_no_larger_than_its_sparse_layout() {
+        // The daemon id, seven counters and the port list (104 bytes), two
+        // optional sketches (112), and the class entries' boxed slice (16).
+        assert!(std::mem::size_of::<ParsedInterval>() <= 232);
+        assert_eq!(std::mem::size_of::<ClassStats>(), 16);
     }
 
     #[test]
@@ -890,6 +968,21 @@ mod tests {
         }
     }
 
+    /// The sample report's line in the writer's layout with all fourteen
+    /// classes non-zero: the `k`-th class in line order holds
+    /// `(k, 1000 k)`, so it is slot `k - 1`.
+    fn all_classes_line() -> String {
+        let zero = "{\"n\":0,\"us\":0}";
+        let line = sample_report().to_json().compact();
+        assert_eq!(line.matches(zero).count(), CLASS_SLOTS);
+        let mut parts = line.split(zero);
+        let mut out = parts.next().unwrap_or_default().to_string();
+        for (k, part) in (1..).zip(parts) {
+            out += &format!("{{\"n\":{k},\"us\":{}}}{part}", 1000 * k);
+        }
+        out
+    }
+
     fn summary_line() -> String {
         let report = sample_report();
         let summary = LiveSummary {
@@ -971,6 +1064,7 @@ mod tests {
         let templates = [
             REAL_LINE.to_string(),
             sample_report().to_json().compact(),
+            all_classes_line(),
             summary_line(),
             // Escaped keys and values, repeated keys, numbers at the edges
             // of what `as_u64` takes.
@@ -1054,6 +1148,12 @@ mod tests {
         }
     }
 
+    /// A breakdown whose `client_idle` is overwritten with zeros and whose
+    /// `tail_retrans` has time but no count.
+    const ZEROED_AND_TIMED: &str = "\"breakdown\":{\"stalls\":1,\"stalled_us\":2,\
+         \"by_cause\":{\"client_idle\":{\"n\":1,\"us\":2},\"client_idle\":{\"n\":0,\"us\":0}},\
+         \"by_retrans\":{\"tail_retrans\":{\"n\":0,\"us\":7}}}";
+
     #[test]
     fn edge_values_and_repeated_keys_read_as_the_tree_reads_them() {
         let interval = |body: &str| format!("{{\"kind\":\"interval\",{body}}}");
@@ -1075,6 +1175,8 @@ mod tests {
                  \"80\":{\"flows\":4,\"stalls\":5,\"stalled_us\":6},\
                  \"+81\":{\"flows\":7,\"stalls\":8,\"stalled_us\":9}}",
             ),
+            // A class overwritten with zeros, and a zero count with time.
+            interval(ZEROED_AND_TIMED),
             // Numbers at the edges of `as_u64`.
             interval("\"packets\":9223372036854775807"),
             interval("\"packets\":9223372036854775808"),
@@ -1123,6 +1225,9 @@ mod tests {
         );
         assert_eq!(rec("\"packets\":9223372036854775808").packets, 0);
         assert_eq!(rec("\"daemon\":\"fe\\u0031\"").daemon, "fe1");
+        // The zeroed class leaves no entry; the timed one is kept.
+        let tail = (StallClass::ALL.len() + RetransClass::TailRetrans.index()) as u8;
+        assert_eq!(*rec(ZEROED_AND_TIMED).classes.0, [(tail, 0, 7)]);
         assert_eq!(
             parse_interval_line(&interval("\"sketches\":{},\"by_port\":[],\"breakdown\":7")),
             Err("breakdown is not an object".into())
@@ -1174,6 +1279,11 @@ mod tests {
             r.by_port[0].1.stalled_us = 999_999_999_999_999_999;
         });
         assert!(layout_read(REAL_LINE).is_some());
+        let all = layout_read(&all_classes_line()).expect("the writer's layout");
+        let entries: Vec<_> = (1..=CLASS_SLOTS as u8)
+            .map(|k| (k - 1, u64::from(k), 1000 * u64::from(k)))
+            .collect();
+        assert_eq!(*all.classes.0, entries[..]);
         for report in &reports {
             let line = report.to_json().compact();
             assert!(layout_read(&line).is_some(), "{line}");

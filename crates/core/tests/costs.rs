@@ -24,6 +24,9 @@
 //!   (the same capture under three ids), the outcome it returns included;
 //! * `fleet.stream.peak_kib`: the peak heap of `tapo fleet`'s path from
 //!   the same three streams as bytes to the outcome, on one thread;
+//! * `fleet.collect.peak_kib`: the peak heap of the path that keeps the
+//!   records, as the `fleet_aggregate` benchmark does: each of the three
+//!   streams through `read_reports` into one `Vec`, then `aggregate`;
 //! * `live.heavy.peak_kib`: the peak live heap, in KiB above the heap
 //!   before the run, of the inline (one-shard) engine with every flow
 //!   heavy over the whole capture, reports discarded as they come;
@@ -51,8 +54,8 @@ use tapo::live::{self, DaemonId, IntervalReport, LiveConfig};
 use tapo::report::parse::parse_interval_line;
 use tapo::sink::{JsonLinesSink, Record, ReportSink};
 use tapo::{
-    aggregate, analyze_flow_with, read_reports_with, AnalyzeScratch, AnalyzerConfig, FleetConfig,
-    FleetFold,
+    aggregate, analyze_flow_with, read_reports, read_reports_with, AnalyzeScratch, AnalyzerConfig,
+    FleetConfig, FleetFold,
 };
 use tcp_trace::pcap::PcapReader;
 use workloads::livegen::{generate_interleaved, LiveGenSpec};
@@ -226,6 +229,16 @@ fn rendering_allocates_no_more_than_committed() {
         drop(fold.finish(skipped));
     });
     costs.push(("fleet.stream.peak_kib", (peak / 1024) as u64));
+    let peak = peak_bytes(|| {
+        let (mut records, mut skipped) = (Vec::new(), 0);
+        for (id, stream) in &streams {
+            let (mut recs, skip) = read_reports(id, stream.as_bytes(), 1).unwrap();
+            records.append(&mut recs);
+            skipped += skip;
+        }
+        drop(aggregate(&records, skipped, &fleet_cfg));
+    });
+    costs.push(("fleet.collect.peak_kib", (peak / 1024) as u64));
 
     let cfg = live_config("fe0");
     assert!(cfg.tier.is_none(), "every flow heavy");

@@ -9,7 +9,7 @@
 #
 # Each side runs in its own directory under <work-dir> with the same
 # relative paths, so path-derived daemon ids agree. Prints one line per
-# differing file and exits 1 if any differs; the 59 calls take a few
+# differing file and exits 1 if any differs; the 60 calls take a few
 # seconds per side on a 2-core machine.
 set -uo pipefail
 
@@ -59,6 +59,8 @@ calls() {
     t $B/tapo fleet fe0.jsonl fe1.jsonl fe2.nofinal
     cat fe0.jsonl fe1.jsonl fe2.nofinal > fe.nofinal
     tin fe.nofinal $B/tapo fleet -
+    cat fe0.jsonl fe1.jsonl fe2.jsonl > fe.cat
+    tdd fe.cat $B/tapo fleet -
     h=$(($(wc -l < fe1.jsonl) / 2))
     { head -n $h fe1.jsonl; echo '{"kind":"interval","start_us":1'; tail -n +$((h + 1)) fe1.jsonl; } > fe1.bad
     t $B/tapo fleet fe0.jsonl fe1.bad fe2.jsonl --threads 1
